@@ -64,7 +64,7 @@ def _print_report(report: ValidationReport) -> None:
 def _load_model(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _diag("error", f"cannot read {path}: {exc}")
         return None
     try:

@@ -9,6 +9,14 @@ sound model. Serialization is canonical (fixed key order, 2-space
 indent, LF endings, trailing newline) and byte-deterministic, and
 ``parse_model(serialize_model(m))`` reproduces ``m`` exactly.
 
+Parsing takes one of two paths through a single schema walker. The
+stdlib decoder reads the document, the walker builds the model and
+structural validation checks it; a sound document gets no position
+computed at all. A document that fails any of those steps is read again
+by a position-tracking reader, which reports syntax errors and duplicate
+keys itself, and walked again; each problem, kept as a model path, is
+then resolved against the reader's tree to a line and column.
+
 Frequencies are written as two-integer arrays to keep band boundaries
 exact; several of them have no finite binary-float form.
 """
@@ -16,6 +24,7 @@ exact; several of them have no finite binary-float form.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -63,19 +72,117 @@ class ParseFailure(Exception):
         super().__init__(f"{len(self.errors)} parse error(s): {summary}")
 
 
+def parse_model(text: str) -> DesignModel:
+    """Parse a model document; raise ParseFailure listing every problem.
+
+    Structural validation runs on the parsed model and its errors are
+    reported as parse errors at the position of the offending value, so a
+    successful parse guarantees a structurally valid model.
+    """
+    model = _parse_fast(text)
+    return model if model is not None else _parse_positioned(text)
+
+
+# ---------------------------------------------------------------------------
+# Fast path: the stdlib decoder, no positions.
+
+
+class _DuplicateKey(ValueError):
+    pass
+
+
+def _unique_object(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        # The positional reader reports where; no need to read further.
+        raise _DuplicateKey
+    return obj
+
+
+def _reject_constant(name: str) -> None:
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _parse_fast(text: str) -> DesignModel | None:
+    """The model, or None when the document has any problem at all."""
+    try:
+        data = json.loads(text, object_pairs_hook=_unique_object, parse_constant=_reject_constant)
+    except (ValueError, RecursionError):
+        # Malformed JSON, NaN or Infinity, a duplicate key, an integer too
+        # long to convert, or nesting deeper than the interpreter's stack.
+        return None
+    model = _walk_model(_Walker(), data)
+    if model is None or validate_model(model, STRUCTURAL).has_errors:
+        return None
+    return model
+
+
+# ---------------------------------------------------------------------------
+# Failure path: read again with positions, walk again, locate each problem.
+
+
+def _parse_positioned(text: str) -> DesignModel:
+    """Parse with the position-tracking reader; every error carries its line and column."""
+    errors: list[ParseError] = []
+    reader = _Reader(text, errors)
+    try:
+        root = reader.parse_document()
+    except _SyntaxFailure as exc:
+        raise ParseFailure(errors + [exc.error]) from None
+
+    walker = _Walker()
+    model = _walk_model(walker, root.value)
+    for path, key, code, message in walker.problems:
+        errors.append(ParseError(*reader.location(_offset(root, path, key)), code, message))
+    if errors or model is None:
+        raise ParseFailure(errors)
+
+    report = validate_model(model, STRUCTURAL)
+    if report.has_errors:
+        raise ParseFailure(
+            [
+                ParseError(*reader.location(_offset(root, finding.path)), finding.code, finding.message)
+                for finding in report.errors
+            ]
+        )
+    return model
+
+
+def _offset(root: _Node, path: Path, key: str | None = None) -> int:
+    """Where the value at ``path`` starts in the text, or ``key`` in that object.
+
+    A path that leaves the document falls back to its longest prefix that
+    names a value, and to the start of the text when not even its first
+    step does.
+    """
+    node = root
+    for depth, segment in enumerate(path):
+        children = node.children
+        if isinstance(segment, int):
+            found = isinstance(children, list) and 0 <= segment < len(children)
+        else:
+            found = isinstance(children, dict) and segment in children
+        if not found:
+            return node.pos if depth else 0
+        node = children[segment]
+    return node.pos if key is None else node.key_offsets[key]
+
+
 # ---------------------------------------------------------------------------
 # Position-tracking JSON reader. The stdlib decoder does not expose node
-# positions, and positioned diagnostics are the whole point of this format.
+# positions; this reader keeps them, next to the same plain values.
 
 
 class _Node:
-    __slots__ = ("value", "line", "col", "key_positions")
+    """A value in plain form, the offset where it starts, and its children's nodes."""
 
-    def __init__(self, value, line, col, key_positions=None):
+    __slots__ = ("value", "pos", "children", "key_offsets")
+
+    def __init__(self, value, pos, children=None, key_offsets=None):
         self.value = value
-        self.line = line
-        self.col = col
-        self.key_positions = key_positions
+        self.pos = pos
+        self.children = children
+        self.key_offsets = key_offsets
 
 
 class _SyntaxFailure(Exception):
@@ -85,6 +192,15 @@ class _SyntaxFailure(Exception):
 
 
 _ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+# A run of string characters that need no attention: not a quote, a
+# backslash or a control character.
+_PLAIN_RUN = re.compile(r'[^"\\\x00-\x1f]*')
+
+
+def _is_digit(ch: str) -> bool:
+    # JSON digits are ASCII only; str.isdigit() also accepts "²" and "٣".
+    return "0" <= ch <= "9"
 
 
 class _Reader:
@@ -92,11 +208,7 @@ class _Reader:
         self.text = text
         self.pos = 0
         self.errors = errors
-        starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                starts.append(i + 1)
-        self.line_starts = starts
+        self.line_starts = [0] + [match.end() for match in re.finditer("\n", text)]
 
     def location(self, pos: int | None = None) -> tuple[int, int]:
         pos = self.pos if pos is None else pos
@@ -108,12 +220,14 @@ class _Reader:
         raise _SyntaxFailure(ParseError(line, col, "Syntax", message))
 
     def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\n\r":
-            self.pos += 1
+        self.pos = _WHITESPACE.match(self.text, self.pos).end()
 
     def parse_document(self) -> _Node:
         self.skip_ws()
-        node = self.parse_value()
+        try:
+            node = self.parse_value()
+        except RecursionError:
+            self.fail("values nest too deeply")
         self.skip_ws()
         if self.pos != len(self.text):
             self.fail("unexpected content after the end of the document")
@@ -129,24 +243,25 @@ class _Reader:
             return self.parse_array()
         if ch == '"':
             return self.parse_string()
-        if ch == "-" or ch.isdigit():
+        if ch == "-" or _is_digit(ch):
             return self.parse_number()
         for literal, value in (("true", True), ("false", False), ("null", None)):
             if self.text.startswith(literal, self.pos):
-                line, col = self.location()
+                node = _Node(value, self.pos)
                 self.pos += len(literal)
-                return _Node(value, line, col)
+                return node
         self.fail(f"unexpected character {ch!r}")
 
     def parse_object(self) -> _Node:
-        line, col = self.location()
+        values: dict[str, object] = {}
+        children: dict[str, _Node] = {}
+        key_offsets: dict[str, int] = {}
+        node = _Node(values, self.pos, children, key_offsets)
         self.pos += 1
-        items: dict[str, _Node] = {}
-        key_positions: dict[str, tuple[int, int]] = {}
         self.skip_ws()
         if self.pos < len(self.text) and self.text[self.pos] == "}":
             self.pos += 1
-            return _Node(items, line, col, key_positions)
+            return node
         while True:
             self.skip_ws()
             if self.pos >= len(self.text) or self.text[self.pos] != '"':
@@ -158,15 +273,16 @@ class _Reader:
                 self.fail("expected ':' after object key")
             self.pos += 1
             self.skip_ws()
-            value = self.parse_value()
-            if key in items:
+            child = self.parse_value()
+            if key in children:
                 # Recoverable: keep the first binding, report the repeat.
                 self.errors.append(
-                    ParseError(key_node.line, key_node.col, "DuplicateKey", f"duplicate key {key!r}")
+                    ParseError(*self.location(key_node.pos), "DuplicateKey", f"duplicate key {key!r}")
                 )
             else:
-                items[key] = value
-                key_positions[key] = (key_node.line, key_node.col)
+                values[key] = child.value
+                children[key] = child
+                key_offsets[key] = key_node.pos
             self.skip_ws()
             if self.pos >= len(self.text):
                 self.fail("unterminated object")
@@ -176,20 +292,23 @@ class _Reader:
                 continue
             if ch == "}":
                 self.pos += 1
-                return _Node(items, line, col, key_positions)
+                return node
             self.fail("expected ',' or '}' in object")
 
     def parse_array(self) -> _Node:
-        line, col = self.location()
+        values: list[object] = []
+        children: list[_Node] = []
+        node = _Node(values, self.pos, children)
         self.pos += 1
-        items: list[_Node] = []
         self.skip_ws()
         if self.pos < len(self.text) and self.text[self.pos] == "]":
             self.pos += 1
-            return _Node(items, line, col)
+            return node
         while True:
             self.skip_ws()
-            items.append(self.parse_value())
+            child = self.parse_value()
+            values.append(child.value)
+            children.append(child)
             self.skip_ws()
             if self.pos >= len(self.text):
                 self.fail("unterminated array")
@@ -199,28 +318,27 @@ class _Reader:
                 continue
             if ch == "]":
                 self.pos += 1
-                return _Node(items, line, col)
+                return node
             self.fail("expected ',' or ']' in array")
 
     def parse_string(self) -> _Node:
-        line, col = self.location()
+        text = self.text
         start = self.pos
         self.pos += 1
         pieces: list[str] = []
         while True:
-            if self.pos >= len(self.text):
+            end = _PLAIN_RUN.match(text, self.pos).end()
+            pieces.append(text[self.pos : end])
+            self.pos = end
+            if end >= len(text):
                 self.fail("unterminated string", start)
-            ch = self.text[self.pos]
+            ch = text[end]
             if ch == '"':
                 self.pos += 1
-                return _Node("".join(pieces), line, col)
-            if ch == "\\":
-                pieces.append(self._parse_escape())
-                continue
-            if ord(ch) < 0x20:
+                return _Node("".join(pieces), start)
+            if ch != "\\":
                 self.fail("unescaped control character in string")
-            pieces.append(ch)
-            self.pos += 1
+            pieces.append(self._parse_escape())
 
     def _parse_escape(self) -> str:
         self.pos += 1
@@ -251,185 +369,142 @@ class _Reader:
         return int(digits, 16)
 
     def parse_number(self) -> _Node:
-        line, col = self.location()
         start = self.pos
         text = self.text
         if self.pos < len(text) and text[self.pos] == "-":
             self.pos += 1
-        if self.pos >= len(text) or not text[self.pos].isdigit():
+        if self.pos >= len(text) or not _is_digit(text[self.pos]):
             self.fail("invalid number", start)
         if text[self.pos] == "0":
             self.pos += 1
         else:
-            while self.pos < len(text) and text[self.pos].isdigit():
+            while self.pos < len(text) and _is_digit(text[self.pos]):
                 self.pos += 1
         is_float = False
         if self.pos < len(text) and text[self.pos] == ".":
             is_float = True
             self.pos += 1
-            if self.pos >= len(text) or not text[self.pos].isdigit():
+            if self.pos >= len(text) or not _is_digit(text[self.pos]):
                 self.fail("invalid number", start)
-            while self.pos < len(text) and text[self.pos].isdigit():
+            while self.pos < len(text) and _is_digit(text[self.pos]):
                 self.pos += 1
         if self.pos < len(text) and text[self.pos] in "eE":
             is_float = True
             self.pos += 1
             if self.pos < len(text) and text[self.pos] in "+-":
                 self.pos += 1
-            if self.pos >= len(text) or not text[self.pos].isdigit():
+            if self.pos >= len(text) or not _is_digit(text[self.pos]):
                 self.fail("invalid number", start)
-            while self.pos < len(text) and text[self.pos].isdigit():
+            while self.pos < len(text) and _is_digit(text[self.pos]):
                 self.pos += 1
         raw = text[start : self.pos]
-        return _Node(float(raw) if is_float else int(raw), line, col)
+        if is_float:
+            return _Node(float(raw), start)
+        try:
+            return _Node(int(raw), start)
+        except ValueError:
+            # Past the interpreter's integer-string conversion limit,
+            # which the stdlib decoder rejects too.
+            self.fail("integer has too many digits", start)
 
 
 # ---------------------------------------------------------------------------
-# Schema walk: closed schema, every problem collected, every node position
-# remembered so validation findings can be mapped back onto the bytes.
+# Schema walk over plain JSON values: closed schema, every problem
+# collected. A problem is kept as the model path of the value at fault,
+# plus the key when the key itself is at fault; only the failure path
+# turns paths into positions.
+
+
+def _schema(required: tuple[str, ...], optional: tuple[str, ...] = ()) -> tuple[tuple[str, ...], frozenset[str]]:
+    return required, frozenset(required + optional)
+
+
+_TOP = _schema(("meta", "requirements", "functions", "components", "rf", "fc", "failure_modes"))
+_META = _schema(("product", "version"))
+_REQUIREMENT = _schema(("id", "text"))
+_FLOW = _schema(("description", "kind"))
+_FUNCTION = _schema(("id", "verb", "noun"), ("inputs", "outputs"))
+_COMPONENT = _schema(("id", "name"), ("concept",))
+_EFFECT = _schema(("text",), ("severity_class", "severity_rank"))
+_CAUSE = _schema(("text",), ("occurrence_rank", "frequency"))
+_CONTROL = _schema(("method_class",), ("method_text", "detection_rank"))
+_FAILURE_MODE = _schema(("id", "element", "category", "description"), ("effects", "causes", "control"))
 
 
 class _Walker:
+    """Checks plain values against the schema and collects the problems.
+
+    Scalars are read as ``container[key]`` under the container's path, so
+    the scalar's own path is built only when it has a problem.
+    """
+
     def __init__(self) -> None:
-        self.errors: list[ParseError] = []
-        self.positions: dict[str, tuple[int, int]] = {}
+        self.problems: list[tuple[Path, str | None, str, str]] = []
 
-    def record(self, path: Path, node: _Node) -> None:
-        self.positions[render_path(path)] = (node.line, node.col)
+    def fail(self, path: Path, code: str, detail: str, key: str | None = None) -> None:
+        self.problems.append((path, key, code, f"{render_path(path)}: {detail}"))
 
-    def fail(self, node: _Node, code: str, message: str, pos: tuple[int, int] | None = None) -> None:
-        line, col = pos if pos is not None else (node.line, node.col)
-        self.errors.append(ParseError(line, col, code, message))
-
-    def obj(
-        self,
-        node: _Node,
-        path: Path,
-        required: tuple[str, ...],
-        optional: tuple[str, ...] = (),
-    ) -> dict[str, _Node] | None:
-        self.record(path, node)
-        if not isinstance(node.value, dict):
-            self.fail(node, "Type", f"{render_path(path)}: expected an object")
+    def obj(self, value: object, path: Path, schema: tuple[tuple[str, ...], frozenset[str]]) -> dict | None:
+        if not isinstance(value, dict):
+            self.fail(path, "Type", "expected an object")
             return None
-        allowed = set(required) | set(optional)
-        for key in node.value:
-            if key not in allowed:
-                self.fail(
-                    node,
-                    "UnknownKey",
-                    f"{render_path(path)}: unknown key {key!r}",
-                    node.key_positions.get(key),
-                )
+        required, allowed = schema
+        if not allowed.issuperset(value):
+            for key in value:
+                if key not in allowed:
+                    self.fail(path, "UnknownKey", f"unknown key {key!r}", key)
         ok = True
         for key in required:
-            if key not in node.value:
-                self.fail(node, "MissingKey", f"{render_path(path)}: missing required key {key!r}")
+            if key not in value:
+                self.fail(path, "MissingKey", f"missing required key {key!r}")
                 ok = False
-        if not ok:
-            return None
-        for key, child in node.value.items():
-            if key in allowed:
-                self.record(path + (key,), child)
-        return node.value
+        return value if ok else None
 
-    def array(self, node: _Node, path: Path) -> list[_Node] | None:
-        self.record(path, node)
-        if not isinstance(node.value, list):
-            self.fail(node, "Type", f"{render_path(path)}: expected an array")
-            return None
-        for index, child in enumerate(node.value):
-            self.record(path + (index,), child)
-        return node.value
-
-    def string(self, node: _Node, path: Path, nonempty: bool = False) -> str | None:
-        self.record(path, node)
-        if not isinstance(node.value, str):
-            self.fail(node, "Type", f"{render_path(path)}: expected a string")
-            return None
-        if nonempty and not node.value.strip():
-            self.fail(node, "EmptyText", f"{render_path(path)}: must not be empty")
-            return None
-        return node.value
-
-    def token(self, node: _Node, path: Path) -> str | None:
-        value = self.string(node, path)
-        if value is None:
-            return None
-        if not ELEMENT_ID_RE.match(value):
-            self.fail(
-                node,
-                "InvalidId",
-                f"{render_path(path)}: ids use letters, digits, '_' and '-' only, got {value!r}",
-            )
+    def array(self, value: object, path: Path) -> list | None:
+        if not isinstance(value, list):
+            self.fail(path, "Type", "expected an array")
             return None
         return value
 
-    def integer(self, node: _Node, path: Path) -> int | None:
-        self.record(path, node)
-        if isinstance(node.value, bool) or not isinstance(node.value, int):
-            self.fail(node, "Type", f"{render_path(path)}: expected an integer")
+    def string(self, container, key: str | int, path: Path, nonempty: bool = False) -> str | None:
+        value = container[key]
+        if not isinstance(value, str):
+            self.fail(path + (key,), "Type", "expected a string")
             return None
-        return node.value
+        if nonempty and not value.strip():
+            self.fail(path + (key,), "EmptyText", "must not be empty")
+            return None
+        return value
+
+    def token(self, container, key: str | int, path: Path) -> str | None:
+        value = self.string(container, key, path)
+        if value is not None and not ELEMENT_ID_RE.match(value):
+            self.fail(path + (key,), "InvalidId", f"ids use letters, digits, '_' and '-' only, got {value!r}")
+            return None
+        return value
+
+    def integer(self, container, key: str | int, path: Path) -> int | None:
+        value = container[key]
+        if isinstance(value, bool) or not isinstance(value, int):
+            self.fail(path + (key,), "Type", "expected an integer")
+            return None
+        return value
 
 
-_TOP_KEYS = ("meta", "requirements", "functions", "components", "rf", "fc", "failure_modes")
-
-
-def parse_model(text: str) -> DesignModel:
-    """Parse a model document; raise ParseFailure listing every problem.
-
-    Structural validation runs on the parsed model and its errors are
-    reported as parse errors at the position of the offending value, so a
-    successful parse guarantees a structurally valid model.
-    """
-    errors: list[ParseError] = []
-    try:
-        root = _Reader(text, errors).parse_document()
-    except _SyntaxFailure as exc:
-        raise ParseFailure(errors + [exc.error]) from None
-
-    walker = _Walker()
-    walker.errors = errors
-    model = _walk_model(walker, root)
-    if errors or model is None:
-        raise ParseFailure(errors)
-
-    report = validate_model(model, STRUCTURAL)
-    if report.has_errors:
-        raise ParseFailure(
-            [
-                ParseError(*_position_for(walker.positions, finding.path), finding.code, finding.message)
-                for finding in report.errors
-            ]
-        )
-    return model
-
-
-def _position_for(positions: dict[str, tuple[int, int]], path: Path) -> tuple[int, int]:
-    prefix = list(path)
-    while prefix:
-        hit = positions.get(render_path(tuple(prefix)))
-        if hit is not None:
-            return hit
-        prefix.pop()
-    return (1, 1)
-
-
-def _walk_model(w: _Walker, root: _Node) -> DesignModel | None:
-    top = w.obj(root, (), _TOP_KEYS)
+def _walk_model(w: _Walker, data: object) -> DesignModel | None:
+    top = w.obj(data, (), _TOP)
     if top is None:
         return None
 
-    meta = _walk_meta(w, top["meta"])
-    requirements = _walk_list(w, top["requirements"], ("requirements",), _walk_requirement)
-    functions = _walk_list(w, top["functions"], ("functions",), _walk_function)
-    components = _walk_list(w, top["components"], ("components",), _walk_component)
-    rf = _walk_edges(w, top["rf"], ("rf",))
-    fc = _walk_edges(w, top["fc"], ("fc",))
-    failure_modes = _walk_list(w, top["failure_modes"], ("failure_modes",), _walk_failure_mode)
+    meta = _walk_meta(w, top["meta"], ("meta",))
+    requirements = _walk_list(w, top, "requirements", (), _walk_requirement)
+    functions = _walk_list(w, top, "functions", (), _walk_function)
+    components = _walk_list(w, top, "components", (), _walk_component)
+    rf = _walk_edges(w, top, "rf")
+    fc = _walk_edges(w, top, "fc")
+    failure_modes = _walk_list(w, top, "failure_modes", (), _walk_failure_mode)
 
-    if w.errors or meta is None:
+    if w.problems or meta is None:
         return None
     return DesignModel(
         meta=meta,
@@ -442,138 +517,121 @@ def _walk_model(w: _Walker, root: _Node) -> DesignModel | None:
     )
 
 
-def _walk_list(w: _Walker, node: _Node, path: Path, walk_item) -> list:
-    children = w.array(node, path)
-    if children is None:
+def _walk_list(w: _Walker, container: dict, key: str, path: Path, walk_item) -> list:
+    path = path + (key,)
+    values = w.array(container[key], path)
+    if values is None:
         return []
     items = []
-    for index, child in enumerate(children):
-        item = walk_item(w, child, path + (index,))
+    for index, value in enumerate(values):
+        item = walk_item(w, value, path + (index,))
         if item is not None:
             items.append(item)
     return items
 
 
-def _walk_meta(w: _Walker, node: _Node) -> Meta | None:
-    fields = w.obj(node, ("meta",), ("product", "version"))
+def _walk_meta(w: _Walker, value: object, path: Path) -> Meta | None:
+    fields = w.obj(value, path, _META)
     if fields is None:
         return None
-    product = w.string(fields["product"], ("meta", "product"))
-    version = w.string(fields["version"], ("meta", "version"))
+    product = w.string(fields, "product", path)
+    version = w.string(fields, "version", path)
     if product is None or version is None:
         return None
     return Meta(product=product, version=version)
 
 
-def _walk_requirement(w: _Walker, node: _Node, path: Path) -> Requirement | None:
-    fields = w.obj(node, path, ("id", "text"))
+def _walk_requirement(w: _Walker, value: object, path: Path) -> Requirement | None:
+    fields = w.obj(value, path, _REQUIREMENT)
     if fields is None:
         return None
-    rid = w.token(fields["id"], path + ("id",))
-    text = w.string(fields["text"], path + ("text",), nonempty=True)
+    rid = w.token(fields, "id", path)
+    text = w.string(fields, "text", path, nonempty=True)
     if rid is None or text is None:
         return None
     return Requirement(id=rid, text=text)
 
 
-def _walk_flow(w: _Walker, node: _Node, path: Path) -> Flow | None:
-    fields = w.obj(node, path, ("description", "kind"))
+def _walk_flow(w: _Walker, value: object, path: Path) -> Flow | None:
+    fields = w.obj(value, path, _FLOW)
     if fields is None:
         return None
-    description = w.string(fields["description"], path + ("description",))
-    kind = w.string(fields["kind"], path + ("kind",))
+    description = w.string(fields, "description", path)
+    kind = w.string(fields, "kind", path)
     if kind is not None and kind not in FLOW_KINDS:
-        w.fail(
-            fields["kind"],
-            "InvalidValue",
-            f"{render_path(path + ('kind',))}: flow kind must be one of {', '.join(FLOW_KINDS)}",
-        )
+        w.fail(path + ("kind",), "InvalidValue", f"flow kind must be one of {', '.join(FLOW_KINDS)}")
         kind = None
     if description is None or kind is None:
         return None
     return Flow(description=description, kind=kind)
 
 
-def _walk_function(w: _Walker, node: _Node, path: Path) -> Function | None:
-    fields = w.obj(node, path, ("id", "verb", "noun"), ("inputs", "outputs"))
+def _walk_function(w: _Walker, value: object, path: Path) -> Function | None:
+    fields = w.obj(value, path, _FUNCTION)
     if fields is None:
         return None
-    fid = w.token(fields["id"], path + ("id",))
-    verb = w.string(fields["verb"], path + ("verb",), nonempty=True)
-    noun = w.string(fields["noun"], path + ("noun",), nonempty=True)
-    inputs = _walk_list(w, fields["inputs"], path + ("inputs",), _walk_flow) if "inputs" in fields else []
-    outputs = _walk_list(w, fields["outputs"], path + ("outputs",), _walk_flow) if "outputs" in fields else []
+    fid = w.token(fields, "id", path)
+    verb = w.string(fields, "verb", path, nonempty=True)
+    noun = w.string(fields, "noun", path, nonempty=True)
+    inputs = _walk_list(w, fields, "inputs", path, _walk_flow) if "inputs" in fields else []
+    outputs = _walk_list(w, fields, "outputs", path, _walk_flow) if "outputs" in fields else []
     if fid is None or verb is None or noun is None:
         return None
     return Function(id=fid, verb=verb, noun=noun, inputs=tuple(inputs), outputs=tuple(outputs))
 
 
-def _walk_component(w: _Walker, node: _Node, path: Path) -> Component | None:
-    fields = w.obj(node, path, ("id", "name"), ("concept",))
+def _walk_component(w: _Walker, value: object, path: Path) -> Component | None:
+    fields = w.obj(value, path, _COMPONENT)
     if fields is None:
         return None
-    cid = w.token(fields["id"], path + ("id",))
-    name = w.string(fields["name"], path + ("name",), nonempty=True)
-    concept = w.string(fields["concept"], path + ("concept",)) if "concept" in fields else None
+    cid = w.token(fields, "id", path)
+    name = w.string(fields, "name", path, nonempty=True)
+    concept = w.string(fields, "concept", path) if "concept" in fields else None
     if cid is None or name is None:
         return None
     return Component(id=cid, name=name, concept=concept)
 
 
-def _walk_edges(w: _Walker, node: _Node, path: Path) -> list[MappingEdge]:
-    children = w.array(node, path)
-    if children is None:
+def _walk_edges(w: _Walker, top: dict, key: str) -> list[MappingEdge]:
+    path = (key,)
+    pairs = w.array(top[key], path)
+    if pairs is None:
         return []
     edges: list[MappingEdge] = []
-    for index, child in enumerate(children):
-        pair = w.array(child, path + (index,))
+    for index, value in enumerate(pairs):
+        edge_path = path + (index,)
+        pair = w.array(value, edge_path)
         if pair is None:
             continue
         if len(pair) != 2:
-            w.fail(
-                child,
-                "InvalidValue",
-                f"{render_path(path + (index,))}: an edge is a [source_id, target_id] pair",
-            )
+            w.fail(edge_path, "InvalidValue", "an edge is a [source_id, target_id] pair")
             continue
-        source = w.token(pair[0], path + (index, 0))
-        target = w.token(pair[1], path + (index, 1))
+        source = w.token(pair, 0, edge_path)
+        target = w.token(pair, 1, edge_path)
         if source is None or target is None:
             continue
         edges.append(MappingEdge(source=source, target=target))
     return edges
 
 
-def _walk_effect(w: _Walker, node: _Node, path: Path) -> Effect | None:
-    fields = w.obj(node, path, ("text",), ("severity_class", "severity_rank"))
+def _walk_effect(w: _Walker, value: object, path: Path) -> Effect | None:
+    fields = w.obj(value, path, _EFFECT)
     if fields is None:
         return None
-    text = w.string(fields["text"], path + ("text",), nonempty=True)
-    severity_class = (
-        w.string(fields["severity_class"], path + ("severity_class",))
-        if "severity_class" in fields
-        else None
-    )
-    severity_rank = (
-        w.integer(fields["severity_rank"], path + ("severity_rank",))
-        if "severity_rank" in fields
-        else None
-    )
+    text = w.string(fields, "text", path, nonempty=True)
+    severity_class = w.string(fields, "severity_class", path) if "severity_class" in fields else None
+    severity_rank = w.integer(fields, "severity_rank", path) if "severity_rank" in fields else None
     if text is None:
         return None
     return Effect(text=text, severity_class=severity_class, severity_rank=severity_rank)
 
 
-def _walk_cause(w: _Walker, node: _Node, path: Path) -> Cause | None:
-    fields = w.obj(node, path, ("text",), ("occurrence_rank", "frequency"))
+def _walk_cause(w: _Walker, value: object, path: Path) -> Cause | None:
+    fields = w.obj(value, path, _CAUSE)
     if fields is None:
         return None
-    text = w.string(fields["text"], path + ("text",), nonempty=True)
-    occurrence_rank = (
-        w.integer(fields["occurrence_rank"], path + ("occurrence_rank",))
-        if "occurrence_rank" in fields
-        else None
-    )
+    text = w.string(fields, "text", path, nonempty=True)
+    occurrence_rank = w.integer(fields, "occurrence_rank", path) if "occurrence_rank" in fields else None
     frequency = None
     if "frequency" in fields:
         frequency = _walk_frequency(w, fields["frequency"], path + ("frequency",))
@@ -582,64 +640,52 @@ def _walk_cause(w: _Walker, node: _Node, path: Path) -> Cause | None:
     return Cause(text=text, occurrence_rank=occurrence_rank, frequency=frequency)
 
 
-def _walk_frequency(w: _Walker, node: _Node, path: Path) -> Frequency | None:
-    pair = w.array(node, path)
+def _walk_frequency(w: _Walker, value: object, path: Path) -> Frequency | None:
+    pair = w.array(value, path)
     if pair is None:
         return None
     if len(pair) != 2:
-        w.fail(node, "InvalidValue", f"{render_path(path)}: a frequency is a [failures, opportunities] pair")
+        w.fail(path, "InvalidValue", "a frequency is a [failures, opportunities] pair")
         return None
-    numerator = w.integer(pair[0], path + (0,))
-    denominator = w.integer(pair[1], path + (1,))
+    numerator = w.integer(pair, 0, path)
+    denominator = w.integer(pair, 1, path)
     if numerator is None or denominator is None:
         return None
     if numerator < 1 or denominator < 1:
-        w.fail(node, "InvalidValue", f"{render_path(path)}: frequency integers must be positive")
+        w.fail(path, "InvalidValue", "frequency integers must be positive")
         return None
     return Frequency(numerator=numerator, denominator=denominator)
 
 
-def _walk_control(w: _Walker, node: _Node, path: Path) -> ControlPlan | None:
-    fields = w.obj(node, path, ("method_class",), ("method_text", "detection_rank"))
+def _walk_control(w: _Walker, value: object, path: Path) -> ControlPlan | None:
+    fields = w.obj(value, path, _CONTROL)
     if fields is None:
         return None
-    method_class = w.string(fields["method_class"], path + ("method_class",))
+    method_class = w.string(fields, "method_class", path)
     if method_class is not None and method_class not in CONTROL_METHOD_CLASSES:
         w.fail(
-            fields["method_class"],
+            path + ("method_class",),
             "InvalidValue",
-            f"{render_path(path + ('method_class',))}: control method class must be one of"
-            f" {', '.join(CONTROL_METHOD_CLASSES)}",
+            f"control method class must be one of {', '.join(CONTROL_METHOD_CLASSES)}",
         )
         method_class = None
-    method_text = (
-        w.string(fields["method_text"], path + ("method_text",)) if "method_text" in fields else None
-    )
-    detection_rank = (
-        w.integer(fields["detection_rank"], path + ("detection_rank",))
-        if "detection_rank" in fields
-        else None
-    )
+    method_text = w.string(fields, "method_text", path) if "method_text" in fields else None
+    detection_rank = w.integer(fields, "detection_rank", path) if "detection_rank" in fields else None
     if method_class is None:
         return None
     return ControlPlan(method_class=method_class, method_text=method_text, detection_rank=detection_rank)
 
 
-def _walk_failure_mode(w: _Walker, node: _Node, path: Path) -> FailureMode | None:
-    fields = w.obj(
-        node,
-        path,
-        ("id", "element", "category", "description"),
-        ("effects", "causes", "control"),
-    )
+def _walk_failure_mode(w: _Walker, value: object, path: Path) -> FailureMode | None:
+    fields = w.obj(value, path, _FAILURE_MODE)
     if fields is None:
         return None
-    fm_id = w.token(fields["id"], path + ("id",))
-    element = w.token(fields["element"], path + ("element",))
-    category = w.string(fields["category"], path + ("category",), nonempty=True)
-    description = w.string(fields["description"], path + ("description",), nonempty=True)
-    effects = _walk_list(w, fields["effects"], path + ("effects",), _walk_effect) if "effects" in fields else []
-    causes = _walk_list(w, fields["causes"], path + ("causes",), _walk_cause) if "causes" in fields else []
+    fm_id = w.token(fields, "id", path)
+    element = w.token(fields, "element", path)
+    category = w.string(fields, "category", path, nonempty=True)
+    description = w.string(fields, "description", path, nonempty=True)
+    effects = _walk_list(w, fields, "effects", path, _walk_effect) if "effects" in fields else []
+    causes = _walk_list(w, fields, "causes", path, _walk_cause) if "causes" in fields else []
     control = _walk_control(w, fields["control"], path + ("control",)) if "control" in fields else None
     if fm_id is None or element is None or category is None or description is None:
         return None

@@ -367,11 +367,12 @@ class DesignModel:
 
 def _group_edges(edges: tuple[MappingEdge, ...], by_target: bool) -> dict[str, tuple[str, ...]]:
     grouped: dict[str, list[str]] = {}
+    seen: set[tuple[str, str]] = set()
     for edge in edges:
         key, value = (edge.target, edge.source) if by_target else (edge.source, edge.target)
-        bucket = grouped.setdefault(key, [])
-        if value not in bucket:
-            bucket.append(value)
+        if (key, value) not in seen:
+            seen.add((key, value))
+            grouped.setdefault(key, []).append(value)
     return {key: tuple(values) for key, values in grouped.items()}
 
 

@@ -62,6 +62,12 @@ class TestValidateCommand:
         assert main(["validate", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_file_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main(["validate", str(bad)]) == 2
+        assert f"error: cannot read {bad}: " in capsys.readouterr().err
+
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
 

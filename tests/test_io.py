@@ -2,11 +2,18 @@
 
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_camera_model, random_model
 from riskforge import ParseFailure, parse_model, serialize_model
+from riskforge.io import _offset, _parse_fast, _parse_positioned, _Reader, _SyntaxFailure
+
+CAMERA_JSON = Path(__file__).resolve().parent.parent / "sample_models" / "camera.json"
 
 MINIMAL = """\
 {
@@ -68,6 +75,27 @@ class TestSyntaxErrors:
 
     def test_empty_document(self):
         assert errors_of("")[0].code == "Syntax"
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+    def test_non_ascii_digit(self, digit):
+        lines = CAMERA_JSON.read_text(encoding="utf-8").split("\n")
+        assert lines[59].endswith('"severity_rank": 6')
+        lines[59] = lines[59][:-1] + digit
+        text = "\n".join(lines)
+        with pytest.raises(json.JSONDecodeError) as stdlib:
+            json.loads(text)
+        errors = errors_of(text)
+        assert [(e.line, e.column, e.code) for e in errors] == [(60, 28, "Syntax")]
+        assert (stdlib.value.lineno, stdlib.value.colno) == (60, 28)
+
+    def test_nesting_deeper_than_the_stack(self):
+        errors = errors_of('{"meta": ' + "[" * 100_000)
+        assert [(e.line, e.code, e.message) for e in errors] == [(1, "Syntax", "values nest too deeply")]
+
+    def test_integer_past_the_conversion_limit(self):
+        text = MINIMAL.replace('"version": "1"', '"version": ' + "9" * 5000)
+        errors = errors_of(text)
+        assert [(e.line, e.column, e.code) for e in errors] == [(2, 44, "Syntax")]
 
 
 class TestSchemaErrors:
@@ -203,6 +231,16 @@ class TestReferenceErrors:
                 line_text = text.split("\n")[error.line - 1]
                 assert 1 <= error.column <= len(line_text) + 1
 
+    def test_path_leaving_the_document_falls_back_to_its_longest_prefix(self):
+        reader = _Reader(MINIMAL, [])
+        root = reader.parse_document()
+        record = _offset(root, ("requirements", 0))
+        assert MINIMAL[record] == "{"
+        assert _offset(root, ("requirements", 0, "priority", 2)) == record
+        assert _offset(root, ("requirements", 0, "id", 0)) == _offset(root, ("requirements", 0, "id"))
+        assert _offset(root, ("requirements", 7)) == _offset(root, ("requirements",))
+        assert reader.location(_offset(root, ("notes", 0))) == (1, 1)
+
 
 class TestSerialization:
     def test_round_trip_identity(self, camera_model, smartphone_model):
@@ -259,3 +297,204 @@ class TestSerialization:
             text = serialize_model(model)
             assert parse_model(text) == model
             assert serialize_model(parse_model(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# Differential properties: the stdlib fast path against the positional
+# failure path, and the positional reader against the stdlib decoder.
+
+
+def _nodes(data, out):
+    """Every (container, key) pair in a JSON tree, in document order."""
+    items = data.items() if isinstance(data, dict) else enumerate(data)
+    for key, value in items:
+        out.append((data, key))
+        if isinstance(value, (dict, list)):
+            _nodes(value, out)
+    return out
+
+
+def _dicts(data):
+    found = [data] if isinstance(data, dict) else []
+    return found + [c[k] for c, k in _nodes(data, []) if isinstance(c[k], dict)]
+
+
+def _redump(data, rng):
+    return json.dumps(data, indent=rng.choice([None, 1, 2, 4]), ensure_ascii=rng.random() < 0.5)
+
+
+def _duplicate_key(text, rng):
+    lines = text.split("\n")
+    candidates = [i for i, line in enumerate(lines) if re.match(r'\s*"\w+": .*,$', line)]
+    if not candidates:
+        return text
+    i = rng.choice(candidates)
+    return "\n".join(lines[: i + 1] + lines[i:])
+
+
+def _unknown_key(text, rng):
+    data = json.loads(text)
+    rng.choice(_dicts(data))[rng.choice(["notes", "id", "zz"])] = rng.choice([1, "x", None])
+    return _redump(data, rng)
+
+
+def _missing_key(text, rng):
+    data = json.loads(text)
+    target = rng.choice([d for d in _dicts(data) if d])
+    del target[rng.choice(list(target))]
+    return _redump(data, rng)
+
+
+def _wrong_type(text, rng):
+    data = json.loads(text)
+    container, key = rng.choice(_nodes(data, []))
+    container[key] = rng.choice([1, -3, 2.5, "x", "", [], {}, None, True, [1, 2, 3]])
+    return _redump(data, rng)
+
+
+def _truncate(text, rng):
+    return text[: rng.randrange(len(text))]
+
+
+def _non_finite(text, rng):
+    numbers = list(re.finditer(r"-?\d+", text))
+    if not numbers:
+        return text.replace('"1"', "NaN", 1)
+    match = rng.choice(numbers)
+    return text[: match.start()] + rng.choice(["NaN", "Infinity", "-Infinity"]) + text[match.end() :]
+
+
+def _non_ascii_digit(text, rng):
+    digits = [m.start() for m in re.finditer(r"(?<=: )\d", text)] or [len(text) // 2]
+    at = rng.choice(digits)
+    return text[:at] + rng.choice("\u00b2\u0663\u0661\u06f5") + text[at + 1 :]
+
+
+def _dangling_edge(text, rng):
+    data = json.loads(text)
+    edges = data["rf"] + data["fc"]
+    if edges:
+        rng.choice(edges)[rng.randrange(2)] = "nowhere"
+    elif data["failure_modes"]:
+        rng.choice(data["failure_modes"])["element"] = "nowhere"
+    return _redump(data, rng)
+
+
+def _bad_id(text, rng):
+    data = json.loads(text)
+    records = [r for key in ("requirements", "functions", "components", "failure_modes") for r in data[key]]
+    if records:
+        rng.choice(records)["id"] = rng.choice(["r 1", "", "caf\u00e9", "r1"])
+    return _redump(data, rng)
+
+
+MUTATIONS = (
+    _duplicate_key,
+    _unknown_key,
+    _missing_key,
+    _wrong_type,
+    _truncate,
+    _non_finite,
+    _non_ascii_digit,
+    _dangling_edge,
+    _bad_id,
+)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseFailure as exc:
+        return exc.errors
+
+
+class TestFastPathMatchesFailurePath:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        mutation=st.sampled_from((None,) + MUTATIONS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_model_or_same_errors(self, seed, mutation):
+        rng = random.Random(seed)
+        text = serialize_model(random_model(rng))
+        if mutation is not None:
+            text = mutation(text, rng)
+        positioned = _outcome(_parse_positioned, text)
+        fast = _parse_fast(text)
+        if fast is None:
+            assert isinstance(positioned, tuple) and positioned
+        else:
+            assert positioned == fast
+        assert _outcome(parse_model, text) == positioned
+        if isinstance(positioned, tuple):
+            lines = text.split("\n")
+            for error in positioned:
+                assert 1 <= error.line <= len(lines)
+                assert 1 <= error.column <= len(lines[error.line - 1]) + 1
+
+
+def _first_binding(pairs):
+    obj = {}
+    for key, value in pairs:
+        obj.setdefault(key, value)
+    return obj
+
+
+def _reject(name):
+    raise ValueError(name)
+
+
+def _stdlib_read(text):
+    try:
+        return json.dumps(json.loads(text, object_pairs_hook=_first_binding, parse_constant=_reject))
+    except ValueError:
+        return None
+
+
+def _reader_read(text):
+    try:
+        return json.dumps(_Reader(text, []).parse_document().value)
+    except _SyntaxFailure:
+        return None
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=3), children, max_size=4),
+    max_leaves=20,
+)
+JSONISH = ' \t\n\r{}[]",:.-+eE0123456789tfnulNaIy\\/u\u00b2\u0663\x01\x1f'
+
+
+class TestReaderMatchesStdlib:
+    @given(
+        value=json_values,
+        indent=st.sampled_from([None, 0, 2]),
+        edits=st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(JSONISH), st.integers(0, 2)), max_size=3),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_accepts_the_same_texts_with_the_same_values(self, value, indent, edits):
+        text = json.dumps(value, indent=indent, ensure_ascii=False)
+        for at, ch, kind in edits:
+            at %= len(text) + 1
+            # Insert, replace or delete one character.
+            text = text[:at] + (ch if kind < 2 else "") + text[at + (kind > 0) :]
+        assert _reader_read(text) == _stdlib_read(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"a": 1, "a": 2}',
+            "[NaN]",
+            "[-Infinity]",
+            "[1.5e400]",
+            '["\\ud800\\u0041"]',
+            '["a\\u0000b"]',
+            '["a\x1fb"]',
+            "\ufeff[]",
+            "[01]",
+            "[-]",
+        ],
+    )
+    def test_edge_cases(self, text):
+        assert _reader_read(text) == _stdlib_read(text)

@@ -15,6 +15,7 @@ from riskforge import (
     Flow,
     Frequency,
     Function,
+    MappingEdge,
     Meta,
     Requirement,
     UnknownElement,
@@ -178,6 +179,12 @@ class TestAdjacency:
         assert camera_model.rf_targets == {"r_photo": ("f_exec",)}
         assert camera_model.fc_sources == {"c_cam": ("f_exec",)}
         assert camera_model.fc_targets == {"f_exec": ("c_cam",)}
+
+    def test_repeated_edges_group_once_in_first_seen_order(self, camera_model):
+        edges = tuple(MappingEdge(s, t) for s, t in [("a", "x"), ("b", "x"), ("a", "x"), ("c", "x"), ("b", "x")])
+        model = dataclasses.replace(camera_model, rf=edges)
+        assert model.rf_sources == {"x": ("a", "b", "c")}
+        assert model.rf_targets == {"a": ("x",), "b": ("x",), "c": ("x",)}
 
     def test_failure_modes_of(self, camera_model):
         assert [fm.id for fm in camera_model.failure_modes_of("c_cam")] == ["fm_damage"]
