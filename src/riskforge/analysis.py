@@ -1,10 +1,12 @@
 """Severity, occurrence, and detection reasoning over a design model.
 
-Severity flows forward (requirements to functions to components) and
-occurrence flows backward (components to functions to requirements) along
-the two mapping matrices; detection is assessed on components and carried
-upward the same way occurrence is. Every aggregation is a maximum, so the
-propagation is two strata in each direction and cycles cannot arise.
+One engine rates a model. ``rating_table`` resolves each failure mode's own
+ratings once; ``_propagate_max`` then carries severity forward (requirements
+to functions to components) and occurrence and detection, which originate
+at components, backward along the two mapping matrices, each as a maximum.
+Propagation is two strata in each direction, so cycles cannot arise, and
+tolerant: the public entry points raise for the first unrated leaf of the
+ratings they need.
 
 ``oracle_propagate`` recomputes all three maps by brute-force enumeration
 of every requirement-function-component path, with no reuse of
@@ -14,7 +16,8 @@ implementations against an independent route on small models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import itemgetter
 
 from .model import (
     DesignModel,
@@ -137,164 +140,105 @@ def resolve_fm_detection(fm: FailureMode) -> int | None:
     return detection_band(fm.control.method_class).hi
 
 
-def fm_severity(model: DesignModel, fm_id: str) -> int:
-    """Severity of one failure mode: the maximum over its rated effects."""
-    fm = get_failure_mode(model, fm_id)
-    value = resolve_fm_severity(model, fm)
-    if value is None:
-        raise MissingSeverity(fm_id, f'failure mode "{fm_id}" has no effect with a severity rank or class')
-    return value
+@dataclass(frozen=True, slots=True)
+class RatingTable:
+    """Own (severity, occurrence, detection) per failure mode, in model order,
+    the three propagated maps, and per rating each element's first unrated
+    failure mode (occurrence and detection on components only)."""
+
+    ratings: tuple[tuple[int | None, int | None, int | None], ...]
+    severity: dict[str, int]
+    occurrence: dict[str, int]
+    detection: dict[str, int]
+    unrated: tuple[dict[str, str], dict[str, str], dict[str, str]]
 
 
-def fm_occurrence(model: DesignModel, fm_id: str) -> int:
-    """Occurrence of one failure mode: the maximum over its rated causes."""
-    fm = get_failure_mode(model, fm_id)
-    value = resolve_fm_occurrence(fm)
-    if value is None:
-        raise MissingOccurrence(fm_id, f'failure mode "{fm_id}" has no cause with an occurrence rank or frequency')
-    return value
+def _propagate_max(seeds: tuple[dict[str, int], ...], steps) -> dict[str, int]:
+    """Carry a maximum across the mappings, one element class per step.
 
-
-def fm_detection(model: DesignModel, fm_id: str) -> int:
-    """Detection of one failure mode, from its control plan."""
-    fm = get_failure_mode(model, fm_id)
-    value = resolve_fm_detection(fm)
-    if value is None:
-        raise MissingDetection(fm_id, f'failure mode "{fm_id}" has no control plan')
-    return value
-
-
-def severity_map(model: DesignModel, strict: bool = True) -> dict[str, int]:
-    """Forward severity: requirements from their own failure modes, then
-    functions and components from their own rated failure modes combined
-    with everything mapped onto them. Elements with no contribution are
-    left out of the map.
-
-    With ``strict`` set, an unrated requirement failure mode raises
-    MissingSeverity; requirements are the root of this direction, so there
-    is nothing to fall back on.
+    Each step is (elements, upstream) with its own seeds: an element takes
+    the maximum of its seed and of the values already given to the ids
+    ``upstream`` lists for it. Elements with neither are left out.
     """
-    smap: dict[str, int] = {}
-    for requirement in model.requirements:
-        values: list[int] = []
-        for fm in model.failure_modes_of(requirement.id):
-            value = resolve_fm_severity(model, fm)
-            if value is None:
-                if strict:
-                    raise MissingSeverity(
-                        fm.id,
-                        f'requirement failure mode "{fm.id}" has no effect'
-                        " with a severity rank or class",
-                    )
-                continue
-            values.append(value)
-        if values:
-            smap[requirement.id] = max(values)
-
-    for function in model.functions:
-        values = [
-            value
-            for fm in model.failure_modes_of(function.id)
-            if (value := resolve_fm_severity(model, fm)) is not None
-        ]
-        values += [smap[rid] for rid in model.rf_sources.get(function.id, ()) if rid in smap]
-        if values:
-            smap[function.id] = max(values)
-
-    for component in model.components:
-        values = [
-            value
-            for fm in model.failure_modes_of(component.id)
-            if (value := resolve_fm_severity(model, fm)) is not None
-        ]
-        values += [smap[fid] for fid in model.fc_sources.get(component.id, ()) if fid in smap]
-        if values:
-            smap[component.id] = max(values)
-
-    return smap
+    values: dict[str, int] = {}
+    for own, (elements, upstream) in zip(seeds, steps):
+        for element in elements:
+            found = [values[source] for source in upstream.get(element.id, ()) if source in values]
+            if element.id in own:
+                found.append(own[element.id])
+            if found:
+                values[element.id] = max(found)
+    return values
 
 
-def occurrence_map(model: DesignModel, strict: bool = True) -> dict[str, int]:
-    """Backward occurrence: components from their own failure modes, then
-    functions and requirements purely from what they map onto. Authored
-    occurrence ranks on requirement or function causes never enter these
-    values; occurrence originates at components only.
-    """
-    omap: dict[str, int] = {}
-    for component in model.components:
-        values: list[int] = []
-        for fm in model.failure_modes_of(component.id):
-            value = resolve_fm_occurrence(fm)
-            if value is None:
-                if strict:
-                    raise MissingOccurrence(
-                        fm.id,
-                        f'component failure mode "{fm.id}" has no cause'
-                        " with an occurrence rank or frequency",
-                    )
-                continue
-            values.append(value)
-        if values:
-            omap[component.id] = max(values)
+def rating_table(model: DesignModel) -> RatingTable:
+    """Resolve every failure mode once, then propagate tolerantly: unrated
+    failure modes contribute nothing. Occurrence and detection originate at
+    components only."""
+    component_ids = {component.id for component in model.components}
+    ratings = []
+    seeds: tuple[dict[str, int], ...] = ({}, {}, {})
+    unrated: tuple[dict[str, str], ...] = ({}, {}, {})
+    for fm in model.failure_modes:
+        on_component = fm.element in component_ids
+        own = (
+            resolve_fm_severity(model, fm),
+            resolve_fm_occurrence(fm) if on_component else None,
+            resolve_fm_detection(fm),
+        )
+        ratings.append(own)
+        for kind in (0, 1, 2) if on_component else (0,):
+            if own[kind] is None:
+                unrated[kind].setdefault(fm.element, fm.id)
+            elif own[kind] > seeds[kind].get(fm.element, 0):
+                seeds[kind][fm.element] = own[kind]
 
-    for function in model.functions:
-        values = [omap[cid] for cid in model.fc_targets.get(function.id, ()) if cid in omap]
-        if values:
-            omap[function.id] = max(values)
-
-    for requirement in model.requirements:
-        values = [omap[fid] for fid in model.rf_targets.get(requirement.id, ()) if fid in omap]
-        if values:
-            omap[requirement.id] = max(values)
-
-    return omap
+    forward = ((model.requirements, {}), (model.functions, model.rf_sources), (model.components, model.fc_sources))
+    backward = ((model.components, {}), (model.functions, model.fc_targets), (model.requirements, model.rf_targets))
+    own_severity, own_occurrence, own_detection = seeds
+    return RatingTable(
+        ratings=tuple(ratings),
+        severity=_propagate_max((own_severity,) * 3, forward),
+        occurrence=_propagate_max((own_occurrence, {}, {}), backward),
+        detection=_propagate_max((own_detection, {}, {}), backward),
+        unrated=unrated,
+    )
 
 
-def detection_map(model: DesignModel, strict: bool = True) -> dict[str, int]:
-    """Detection per component (worst over its failure modes' control
-    plans), carried up to functions and requirements by maximum.
-    """
-    dmap: dict[str, int] = {}
-    for component in model.components:
-        values: list[int] = []
-        for fm in model.failure_modes_of(component.id):
-            value = resolve_fm_detection(fm)
-            if value is None:
-                if strict:
-                    raise MissingDetection(
-                        fm.id, f'component failure mode "{fm.id}" has no control plan'
-                    )
-                continue
-            values.append(value)
-        if values:
-            dmap[component.id] = max(values)
+# Per rating: the elements it must resolve on (the root of its direction),
+# the error, and the message. Checked in this order, elements in model order.
+_LEAF_CHECKS = (
+    ("requirements", MissingSeverity, 'requirement failure mode "{}" has no effect with a severity rank or class'),
+    ("components", MissingOccurrence, 'component failure mode "{}" has no cause with an occurrence rank or frequency'),
+    ("components", MissingDetection, 'component failure mode "{}" has no control plan'),
+)
 
-    for function in model.functions:
-        values = [dmap[cid] for cid in model.fc_targets.get(function.id, ()) if cid in dmap]
-        if values:
-            dmap[function.id] = max(values)
 
-    for requirement in model.requirements:
-        values = [dmap[fid] for fid in model.rf_targets.get(requirement.id, ()) if fid in dmap]
-        if values:
-            dmap[requirement.id] = max(values)
-
-    return dmap
+def _checked_table(model: DesignModel, *kinds: int) -> RatingTable:
+    """The rating table, once no leaf lacks a rating of ``kinds`` (0 S, 1 O, 2 D)."""
+    table = rating_table(model)
+    for kind in kinds:
+        group, error, message = _LEAF_CHECKS[kind]
+        for element in getattr(model, group):
+            fm_id = table.unrated[kind].get(element.id)
+            if fm_id is not None:
+                raise error(fm_id, message.format(fm_id))
+    return table
 
 
 def forward_severity(model: DesignModel) -> dict[str, int]:
     """Severity of every element reachable by forward reasoning."""
-    return severity_map(model, strict=True)
+    return _checked_table(model, 0).severity
 
 
 def backward_occurrence(model: DesignModel) -> dict[str, int]:
     """Occurrence of every element reachable by backward reasoning."""
-    return occurrence_map(model, strict=True)
+    return _checked_table(model, 1).occurrence
 
 
 def assign_detection(model: DesignModel) -> dict[str, int]:
     """Detection of every element with a component-level detection source."""
-    return detection_map(model, strict=True)
+    return _checked_table(model, 2).detection
 
 
 def analyze(model: DesignModel, *, propagate_detection: bool = True) -> AnalysisResult:
@@ -311,68 +255,41 @@ def analyze(model: DesignModel, *, propagate_detection: bool = True) -> Analysis
     descending, then element id and failure mode id; positions are dense
     from 1. The tail of the ordering exists purely to make it total.
     """
-    smap = severity_map(model, strict=True)
-    omap = occurrence_map(model, strict=True)
-    dmap = detection_map(model, strict=True)
+    table = _checked_table(model, 0, 1, 2)
 
-    rows: list[RpnRow] = []
-    for fm in model.failure_modes:
+    keyed = []
+    for fm, (severity, occurrence, detection) in zip(model.failure_modes, table.ratings):
         domain = element_domain(model, fm.element)
 
-        severity = resolve_fm_severity(model, fm)
         if severity is None:
-            severity = smap.get(fm.element)
+            severity = table.severity.get(fm.element)
         if severity is None:
             raise MissingSeverity(
                 fm.id,
                 f'failure mode "{fm.id}" has no rated effect and no propagated severity',
             )
 
-        if domain is Domain.COMPONENT:
-            occurrence = resolve_fm_occurrence(fm)
-        else:
-            occurrence = omap.get(fm.element)
+        if domain is not Domain.COMPONENT:
+            occurrence = table.occurrence.get(fm.element)
         if occurrence is None:
             raise MissingOccurrence(
                 fm.id, f'failure mode "{fm.id}" has no occurrence source'
             )
 
-        detection = resolve_fm_detection(fm)
         if detection is None and propagate_detection:
-            detection = dmap.get(fm.element)
+            detection = table.detection.get(fm.element)
             if detection is None:
                 raise MissingDetection(
                     fm.id, f'failure mode "{fm.id}" has no detection source'
                 )
 
         value = rpn(severity, occurrence, detection) if detection is not None else severity * occurrence
-        rows.append(
-            RpnRow(
-                fm_id=fm.id,
-                element_id=fm.element,
-                domain=domain,
-                severity=severity,
-                occurrence=occurrence,
-                detection=detection,
-                rpn=value,
-                rank_position=0,
-            )
-        )
+        fields = (fm.id, fm.element, domain, severity, occurrence, detection, value)
+        keyed.append(((-value, -severity, -occurrence, -(detection or 0), fm.element, fm.id), fields))
 
-    rows.sort(
-        key=lambda row: (
-            -row.rpn,
-            -row.severity,
-            -row.occurrence,
-            -(row.detection or 0),
-            row.element_id,
-            row.fm_id,
-        )
-    )
-    ranked = tuple(
-        replace(row, rank_position=position) for position, row in enumerate(rows, start=1)
-    )
-    return AnalysisResult(severity=smap, occurrence=omap, detection=dmap, rows=ranked)
+    keyed.sort(key=itemgetter(0))
+    rows = tuple(RpnRow(*fields, position) for position, (_, fields) in enumerate(keyed, start=1))
+    return AnalysisResult(table.severity, table.occurrence, table.detection, rows)
 
 
 def trace(model: DesignModel, fm_id: str, direction: str) -> TraceChain:

@@ -114,7 +114,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         )
 
     if args.out is not None:
-        for path in write_bundle(bundle, args.out, args.format, stamp):
+        try:
+            written = write_bundle(bundle, args.out, args.format, stamp)
+        except OSError as exc:
+            _diag("error", f"cannot write {args.out}: {exc}")
+            return EXIT_USAGE
+        for path in written:
             print(path)
     else:
         for name, artifact in bundle.documents():

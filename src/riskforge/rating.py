@@ -139,16 +139,6 @@ def detection_band(method_class: str) -> RankBand:
     return BANDS[row]
 
 
-def rank_consistent(rank: int, band: RankBand) -> bool:
-    """True when a rank lies inside the band."""
-    return rank in band
-
-
-def representative_rank(band: RankBand) -> int:
-    """The rank used when only a band is known: the band maximum."""
-    return band.hi
-
-
 def rpn(severity: int, occurrence: int, detection: int) -> int:
     """Risk priority number: the product of the three ranks, in 1..1000."""
     for name, value in (("severity", severity), ("occurrence", occurrence), ("detection", detection)):

@@ -347,17 +347,14 @@ def _check_warnings(model: DesignModel, findings: list[Finding]) -> None:
 def _check_analysis_ready(model: DesignModel, findings: list[Finding]) -> None:
     # Tolerant propagation: unrated failure modes simply contribute
     # nothing, so coverage holes show up as absent map entries.
-    severity_map = _analysis.severity_map(model, strict=False)
-    occurrence_map = _analysis.occurrence_map(model, strict=False)
-    detection_map = _analysis.detection_map(model, strict=False)
+    table = _analysis.rating_table(model)
 
-    for index, fm in enumerate(model.failure_modes):
+    for index, (fm, (severity, occurrence, _)) in enumerate(zip(model.failure_modes, table.ratings)):
         base: Path = ("failure_modes", index)
         domain = _fm_domain(model, fm)
         if domain is None:
             continue
 
-        severity = _analysis.resolve_fm_severity(model, fm)
         if domain in (Domain.COMPONENT, Domain.REQUIREMENT) and severity is None:
             _error(
                 findings,
@@ -366,7 +363,7 @@ def _check_analysis_ready(model: DesignModel, findings: list[Finding]) -> None:
                 " severity rank or severity class",
                 base + ("effects",),
             )
-        elif severity is None and fm.element not in severity_map:
+        elif severity is None and fm.element not in table.severity:
             _error(
                 findings,
                 "NoSeveritySource",
@@ -376,7 +373,7 @@ def _check_analysis_ready(model: DesignModel, findings: list[Finding]) -> None:
             )
 
         if domain is Domain.COMPONENT:
-            if _analysis.resolve_fm_occurrence(fm) is None:
+            if occurrence is None:
                 _error(
                     findings,
                     "MissingOccurrenceRating",
@@ -393,7 +390,7 @@ def _check_analysis_ready(model: DesignModel, findings: list[Finding]) -> None:
                     base,
                 )
         else:
-            if fm.element not in occurrence_map:
+            if fm.element not in table.occurrence:
                 _error(
                     findings,
                     "NoOccurrenceSource",
@@ -401,7 +398,7 @@ def _check_analysis_ready(model: DesignModel, findings: list[Finding]) -> None:
                     " component with occurrence-rated failure modes",
                     base,
                 )
-            if fm.control is None and fm.element not in detection_map:
+            if fm.control is None and fm.element not in table.detection:
                 _error(
                     findings,
                     "NoDetectionSource",

@@ -22,13 +22,11 @@ from riskforge import (
     analyze,
     assign_detection,
     backward_occurrence,
-    fm_detection,
-    fm_occurrence,
-    fm_severity,
     forward_severity,
     oracle_propagate,
     trace,
 )
+from riskforge.analysis import resolve_fm_detection, resolve_fm_occurrence, resolve_fm_severity
 
 
 def model_of(requirements=(), functions=(), components=(), rf=(), fc=(), fms=()):
@@ -53,11 +51,11 @@ def sev_fm(fm_id, element, *ranks, classes=()):
 class TestFmSeverity:
     def test_max_of_given_ranks(self):
         model = model_of(requirements=["r1"], fms=[sev_fm("fm1", "r1", 7, 5)])
-        assert fm_severity(model, "fm1") == 7
+        assert resolve_fm_severity(model, model.failure_modes[0]) == 7
 
     def test_class_resolves_to_band_maximum(self):
         model = model_of(components=["c1"], fms=[sev_fm("fm1", "c1", classes=["SafetyIssue"])])
-        assert fm_severity(model, "fm1") == 10
+        assert resolve_fm_severity(model, model.failure_modes[0]) == 10
 
     def test_explicit_rank_wins_over_class(self):
         model = model_of(
@@ -69,17 +67,17 @@ class TestFmSeverity:
                 )
             ],
         )
-        assert fm_severity(model, "fm1") == 9
+        assert resolve_fm_severity(model, model.failure_modes[0]) == 9
 
     def test_no_effects_raises(self):
         model = model_of(requirements=["r1"], fms=[sev_fm("fm1", "r1")])
+        assert resolve_fm_severity(model, model.failure_modes[0]) is None
         with pytest.raises(MissingSeverity) as excinfo:
-            fm_severity(model, "fm1")
+            analyze(model)
         assert excinfo.value.failure_mode_id == "fm1"
-
-    def test_unknown_failure_mode(self):
-        with pytest.raises(UnknownFailureMode):
-            fm_severity(model_of(), "ghost")
+        assert str(excinfo.value) == (
+            'requirement failure mode "fm1" has no effect with a severity rank or class'
+        )
 
 
 def occ_fm(fm_id, element, *, ranks=(), frequency=None):
@@ -99,46 +97,52 @@ def occ_fm(fm_id, element, *, ranks=(), frequency=None):
 
 class TestFmOccurrence:
     def test_max_of_given_ranks(self):
-        model = model_of(components=["c1"], fms=[occ_fm("fm1", "c1", ranks=(3, 6))])
-        assert fm_occurrence(model, "fm1") == 6
+        fm = occ_fm("fm1", "c1", ranks=(3, 6))
+        assert resolve_fm_occurrence(fm) == 6
 
     def test_frequency_resolves_through_the_band(self):
-        model = model_of(components=["c1"], fms=[occ_fm("fm1", "c1", frequency=(1, 10))])
-        assert fm_occurrence(model, "fm1") == 10
+        fm = occ_fm("fm1", "c1", frequency=(1, 10))
+        assert resolve_fm_occurrence(fm) == 10
 
     def test_unrated_causes_raise(self):
-        model = model_of(
-            components=["c1"],
-            fms=[
-                FailureMode(
-                    "fm1", "c1", "Damaged", "broken",
-                    causes=(Cause("mystery"),),
-                )
-            ],
+        fm = FailureMode(
+            "fm1", "c1", "Damaged", "broken",
+            causes=(Cause("mystery"),),
+            control=ControlPlan("RealLifeProductTest"),
         )
-        with pytest.raises(MissingOccurrence):
-            fm_occurrence(model, "fm1")
+        assert resolve_fm_occurrence(fm) is None
+        with pytest.raises(MissingOccurrence) as excinfo:
+            analyze(model_of(components=["c1"], fms=[fm]))
+        assert excinfo.value.failure_mode_id == "fm1"
+        assert str(excinfo.value) == (
+            'component failure mode "fm1" has no cause with an occurrence rank or frequency'
+        )
 
 
 class TestFmDetection:
     def test_explicit_rank(self):
-        model = model_of(
-            components=["c1"],
-            fms=[occ_fm("fm1", "c1", ranks=(5,))],
-        )
-        assert fm_detection(model, "fm1") == 1
+        fm = occ_fm("fm1", "c1", ranks=(5,))
+        assert resolve_fm_detection(fm) == 1
 
     def test_class_only_control(self):
         fm = FailureMode(
             "fm1", "c1", "Damaged", "broken", control=ControlPlan("DesignAnalysis")
         )
-        model = model_of(components=["c1"], fms=[fm])
-        assert fm_detection(model, "fm1") == 8
+        assert resolve_fm_detection(fm) == 8
 
     def test_no_control_raises(self):
-        model = model_of(components=["c1"], fms=[sev_fm("fm1", "c1", 5)])
-        with pytest.raises(MissingDetection):
-            fm_detection(model, "fm1")
+        fm = FailureMode(
+            "fm1", "c1", "Damaged", "broken",
+            causes=(Cause("why", occurrence_rank=5),),
+            effects=(Effect("bad", severity_rank=5),),
+        )
+        assert resolve_fm_detection(fm) is None
+        # Detection is checked on component leaves even when rows would
+        # not propagate it.
+        with pytest.raises(MissingDetection) as excinfo:
+            analyze(model_of(components=["c1"], fms=[fm]), propagate_detection=False)
+        assert excinfo.value.failure_mode_id == "fm1"
+        assert str(excinfo.value) == 'component failure mode "fm1" has no control plan'
 
 
 class TestForwardSeverity:
@@ -378,6 +382,29 @@ class TestAnalyze:
         assert by_id["fm_f"].detection == 1
         assert result.detection["f1"] == 10
 
+    def test_unrated_leaves_raise_in_a_fixed_order(self):
+        # Severity over requirements, then occurrence, then detection over
+        # components; within one rating, elements in declaration order.
+        bare = FailureMode("fm_c", "c1", "Damaged", "broken", effects=(Effect("bad", severity_rank=5),))
+        fms = [sev_fm("fm_r1", "r1"), sev_fm("fm_r2", "r2"), sev_fm("fm_r2b", "r2"), bare]
+        model = model_of(requirements=["r2", "r1"], components=["c1"], fms=fms)
+        raised = []
+        for candidate in (model, model_of(components=["c1"], fms=[bare])):
+            for entry_point in (analyze, forward_severity, backward_occurrence, assign_detection):
+                try:
+                    entry_point(candidate)
+                except (MissingSeverity, MissingOccurrence, MissingDetection) as exc:
+                    raised.append((entry_point.__name__, type(exc).__name__, exc.failure_mode_id))
+        assert raised == [
+            ("analyze", "MissingSeverity", "fm_r2"),
+            ("forward_severity", "MissingSeverity", "fm_r2"),
+            ("backward_occurrence", "MissingOccurrence", "fm_c"),
+            ("assign_detection", "MissingDetection", "fm_c"),
+            ("analyze", "MissingOccurrence", "fm_c"),
+            ("backward_occurrence", "MissingOccurrence", "fm_c"),
+            ("assign_detection", "MissingDetection", "fm_c"),
+        ]
+
 
 class TestTrace:
     def test_effects_from_the_component(self, camera_model):
@@ -455,3 +482,21 @@ class TestOracle:
         assert smap == {"r1": 5, "c1": 5}
         assert omap == {"c1": 4}
         assert dmap == {"c1": 1}
+
+    def test_matches_when_a_function_and_a_component_share_an_id(self):
+        # Structurally invalid, but analyzable: occurrence and detection
+        # still originate only at the component step.
+        model = model_of(
+            requirements=["r1"],
+            functions=["f1", "x"],
+            components=["x", "c2"],
+            rf=[("r1", "f1"), ("r1", "x")],
+            fc=[("f1", "x"), ("x", "c2")],
+            fms=[sev_fm("fm1", "r1", 5), occ_fm("fm2", "x", ranks=(9,)), occ_fm("fm3", "c2", ranks=(2,))],
+        )
+        assert backward_occurrence(model)["x"] == 2
+        assert oracle_propagate(model) == (
+            forward_severity(model),
+            backward_occurrence(model),
+            assign_detection(model),
+        )

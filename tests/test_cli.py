@@ -1,13 +1,22 @@
 """Command-line behavior: subcommands, exit codes, deterministic output."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import make_camera_model, make_smartphone_model
 from riskforge import serialize_model
 from riskforge.cli import main
+
+CAMERA_JSON = Path(__file__).resolve().parent.parent / "sample_models" / "camera.json"
 
 
 @pytest.fixture
@@ -70,6 +79,12 @@ class TestValidateCommand:
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
+
+    def test_leading_bom_is_a_syntax_error(self, tmp_path, capsys):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + CAMERA_JSON.read_bytes())
+        assert main(["validate", str(path)]) == 2
+        assert f"error: {path}: line 1, column 1: " in capsys.readouterr().err
 
 
 class TestAnalyzeCommand:
@@ -134,6 +149,16 @@ class TestAnalyzeCommand:
         code = main(["analyze", camera_path, "--out", str(out_dir), "--strict"])
         assert len(sorted(p.name for p in out_dir.iterdir())) == 5
         assert code == 1
+
+    def test_unwritable_out_exits_two(self, camera_path, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        out_dir = blocker / "sub"
+        assert main(["analyze", camera_path, "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: cannot write {out_dir}: " in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestTraceCommand:
@@ -250,3 +275,38 @@ class TestDiagnostics:
         monkeypatch.delenv("RISKFORGE_COLOR", raising=False)
         main(["validate", smartphone_path])
         assert "\x1b[" not in capsys.readouterr().err
+
+
+@st.composite
+def mutated_camera(draw):
+    """camera.json with one to three bytes replaced, inserted or deleted."""
+    data = bytearray(CAMERA_JSON.read_bytes())
+    for _ in range(draw(st.integers(1, 3))):
+        index = draw(st.integers(0, len(data) - 1))
+        edit = draw(st.sampled_from(("replace", "insert", "delete")))
+        if edit == "delete":
+            del data[index]
+        elif edit == "insert":
+            data.insert(index, draw(st.integers(0, 255)))
+        else:
+            data[index] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+# Just past the interpreter's recursion limit; deeper inputs add nothing.
+_DEPTH = sys.getrecursionlimit() + 1
+
+
+class TestExitCodeContract:
+    @given(data=st.binary(max_size=256) | mutated_camera())
+    @example(data=b"[" * _DEPTH + b"]" * _DEPTH)
+    @settings(max_examples=200, deadline=None)
+    def test_every_input_exits_zero_one_or_two(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            path.write_bytes(data)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                validated = main(["validate", "--analysis-ready", str(path)])
+                analyzed = main(["analyze", str(path), "--out", str(Path(tmp) / "out")])
+        assert validated in (0, 1, 2)
+        assert analyzed in (0, 1, 2)

@@ -15,8 +15,6 @@ from riskforge import (
     SEVERITY_CLASSES,
     detection_band,
     occurrence_band,
-    rank_consistent,
-    representative_rank,
     rpn,
     severity_band,
 )
@@ -142,18 +140,13 @@ class TestDetectionBand:
 
 class TestBandMechanics:
     def test_rank_consistent(self):
-        assert rank_consistent(8, RankBand(7, 8))
-        assert not rank_consistent(6, RankBand(7, 8))
-        assert rank_consistent(10, RankBand(9, 10))
+        assert 8 in RankBand(7, 8)
+        assert 6 not in RankBand(7, 8)
+        assert 10 in RankBand(9, 10)
 
-    def test_representative_rank_is_the_band_maximum(self):
-        assert representative_rank(RankBand(9, 10)) == 10
-        assert representative_rank(RankBand(2, 4)) == 4
-        assert representative_rank(RankBand(1, 1)) == 1
-
-    def test_representative_rank_is_in_band(self):
+    def test_band_maximum_is_in_band(self):
         for band in BANDS:
-            assert representative_rank(band) in band
+            assert band.hi in band
 
     def test_band_rendering(self):
         assert str(RankBand(9, 10)) == "9-10"

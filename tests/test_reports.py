@@ -1,9 +1,11 @@
 """Artifact assembly and byte-exact emission."""
 
 import csv
+import hashlib
 import io
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -24,11 +26,14 @@ from riskforge import (
     analyze,
     emit_fmea_document,
     emit_priority_report,
+    parse_model,
     risk_consequence_report,
     run_procedure,
     write_bundle,
 )
-from riskforge.reports import FMEA_CSV_HEADER, build_fmea_document
+from riskforge.reports import FMEA_CSV_HEADER, build_fmea_document, emit_artifact
+
+CAMERA_JSON = Path(__file__).resolve().parent.parent / "sample_models" / "camera.json"
 
 
 class TestRiskConsequenceReport:
@@ -280,3 +285,62 @@ class TestWriteBundle:
         assert path.read_text(encoding="utf-8").startswith("# provenance line\n")
         plain = write_bundle(bundle, tmp_path / "plain", "csv")
         assert not plain[0].read_text(encoding="utf-8").startswith("#")
+
+
+# sha256 of every artifact of sample_models/camera.json: the five documents
+# in each format, then the csv bundle without detection propagation.
+CAMERA_DIGESTS = {
+    (True, "csv", "requirement_priority"):
+        "2b666d186d46c4b58eba3b23fad6ab34cfaeed541bc566102239d7a423c37a5e",
+    (True, "csv", "function_priority"):
+        "ce9ab713da2b12537a03e5f259400783e8b86d815bca3c2f6886d5dec63c3d9a",
+    (True, "csv", "fmea_component"):
+        "f586e7d3c2d97d4a6de669e665ae61048f5f1d1ff6140d7dd406726fc356b2f5",
+    (True, "csv", "fmea_function"):
+        "fbaa6eca2c123659c84af9ce1ee02ba833bd00aa1a275fce0a866d856af7c3bb",
+    (True, "csv", "fmea_requirement"):
+        "795d00a1a27d323814268fa972e66096f0f68c474c6814e727ffd743cc326ba8",
+    (True, "md", "requirement_priority"):
+        "4bed9dbe5aafdd1434a575673e38bd0de8802e0bfb7e8a064b16afc0a1068ccb",
+    (True, "md", "function_priority"):
+        "786f8faab37a4457ef35d63f88d68a3a78b8db566fcd50c254bfe889279f2ff3",
+    (True, "md", "fmea_component"):
+        "c0a094d6f167619ed03c812e4cb28574f76ad7145ff530acbcf362f31568fa14",
+    (True, "md", "fmea_function"):
+        "9b8aafcfd1678c39a01ae6c07fb807fdc5bc631a9cef61befea1850ba6578cc4",
+    (True, "md", "fmea_requirement"):
+        "ec44b7531f503847a575420775b111f4aa4021a4abc7c41fdf41e93c626508e6",
+    (True, "json", "requirement_priority"):
+        "803ed0886e9700d1870493355dd23c4528a459c230518b46c88150f03148c254",
+    (True, "json", "function_priority"):
+        "6a8d1ee8cdf5c2641e3b276cb7cce804df3fe78ecae5118ab9f601fda4d2e43f",
+    (True, "json", "fmea_component"):
+        "af5c244383a8f16168b95cb6d8baeed54e6763fc99677fd5a2f0eb88bc4b7f0a",
+    (True, "json", "fmea_function"):
+        "25ddb3b0c3854609101e402d483e3466a973026a469a0b13140791e52440991a",
+    (True, "json", "fmea_requirement"):
+        "b4283a1a282ed415792d0bcb7363e77f0c3a500dfe5f68b32105d9b2dbb58fc7",
+    (False, "csv", "requirement_priority"):
+        "2b666d186d46c4b58eba3b23fad6ab34cfaeed541bc566102239d7a423c37a5e",
+    (False, "csv", "function_priority"):
+        "ce9ab713da2b12537a03e5f259400783e8b86d815bca3c2f6886d5dec63c3d9a",
+    (False, "csv", "fmea_component"):
+        "f586e7d3c2d97d4a6de669e665ae61048f5f1d1ff6140d7dd406726fc356b2f5",
+    (False, "csv", "fmea_function"):
+        "e001e3cb2bafd4b16df3c3718a2c9136114682ebc61e447531d93c971da4f304",
+    (False, "csv", "fmea_requirement"):
+        "0bc625f6c6832da9f428eab2ae8d9719facb9850155bc503cc07f746ea8d292e",
+}
+
+
+class TestGoldenBytes:
+    def test_camera_artifacts_keep_their_bytes(self):
+        model = parse_model(CAMERA_JSON.read_text(encoding="utf-8"))
+        digests = {}
+        for propagate in (True, False):
+            bundle = run_procedure(model, propagate_detection=propagate)
+            for fmt in ("csv", "md", "json") if propagate else ("csv",):
+                for name, artifact in bundle.documents():
+                    text = emit_artifact(name, artifact, fmt)
+                    digests[propagate, fmt, name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digests == CAMERA_DIGESTS
