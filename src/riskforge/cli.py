@@ -30,7 +30,7 @@ from .reports import (
     run_procedure,
     write_bundle,
 )
-from .validation import ANALYSIS_READY, STRUCTURAL, ValidationReport, validate_model
+from .validation import ANALYSIS_READY, STRUCTURAL, Finding, validate_model
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -56,8 +56,8 @@ def _diag(severity: str, message: str) -> None:
     print(f"{prefix} {message}", file=sys.stderr)
 
 
-def _print_report(report: ValidationReport) -> None:
-    for finding in report.findings:
+def _print_findings(findings: tuple[Finding, ...]) -> None:
+    for finding in findings:
         _diag(finding.severity, f"{finding.path_str}: {finding.message} [{finding.code}]")
 
 
@@ -81,7 +81,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     strictness = ANALYSIS_READY if args.analysis_ready else STRUCTURAL
     report = validate_model(model, strictness)
-    _print_report(report)
+    _print_findings(report.findings)
     print(f"validation: {len(report.errors)} error(s), {len(report.warnings)} warning(s)")
     if report.has_errors:
         return EXIT_FINDINGS
@@ -97,14 +97,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         bundle = run_procedure(model, propagate_detection=not args.no_detection_propagation)
     except ValidationFailed as exc:
-        _print_report(exc.report)
+        _print_findings(exc.report.findings)
         return EXIT_FINDINGS
     except AnalysisError as exc:
         _diag("error", f"{exc} [{type(exc).__name__}]")
         return EXIT_FINDINGS
 
-    for finding in bundle.validation.warnings:
-        _diag(finding.severity, f"{finding.path_str}: {finding.message} [{finding.code}]")
+    _print_findings(bundle.validation.warnings)
 
     stamp = None
     if args.stamp:
@@ -181,7 +180,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         report = validate_model(model, ANALYSIS_READY)
         if report.has_errors:
             _diag("error", f"{path} is not analysis-ready")
-            _print_report(report)
+            _print_findings(report.findings)
             return EXIT_FINDINGS
         results.append(analyze(model))
 

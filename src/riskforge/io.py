@@ -224,23 +224,67 @@ class _Reader:
 
     def parse_document(self) -> _Node:
         self.skip_ws()
-        try:
-            node = self.parse_value()
-        except RecursionError:
-            self.fail("values nest too deeply")
+        node = self.parse_value()
         self.skip_ws()
         if self.pos != len(self.text):
             self.fail("unexpected content after the end of the document")
         return node
 
     def parse_value(self) -> _Node:
-        if self.pos >= len(self.text):
-            self.fail("unexpected end of input")
-        ch = self.text[self.pos]
-        if ch == "{":
-            return self.parse_object()
-        if ch == "[":
-            return self.parse_array()
+        """Read one value. Open arrays and objects wait on an explicit stack,
+        so nesting depth is bounded by memory, not by the interpreter's stack."""
+        text = self.text
+        # Each open container, with the key node its next value binds to
+        # (None for arrays).
+        stack: list[tuple[_Node, _Node | None]] = []
+        while True:
+            if self.pos >= len(text):
+                self.fail("unexpected end of input")
+            ch = text[self.pos]
+            if ch in "{[":
+                if ch == "{":
+                    node = _Node({}, self.pos, {}, {})
+                else:
+                    node = _Node([], self.pos, [])
+                self.pos += 1
+                self.skip_ws()
+                if self.pos >= len(text) or text[self.pos] != ("}" if ch == "{" else "]"):
+                    stack.append((node, self._parse_key() if ch == "{" else None))
+                    continue
+                self.pos += 1
+            else:
+                node = self._parse_scalar(ch)
+            # A value is complete: bind it, then close every container that
+            # ends right after it.
+            while stack:
+                container, key_node = stack[-1]
+                is_object = key_node is not None
+                if is_object:
+                    self._bind(container, key_node, node)
+                else:
+                    container.value.append(node.value)
+                    container.children.append(node)
+                self.skip_ws()
+                if self.pos >= len(text):
+                    self.fail("unterminated object" if is_object else "unterminated array")
+                ch = text[self.pos]
+                if ch == ",":
+                    self.pos += 1
+                    if is_object:
+                        stack[-1] = (container, self._parse_key())
+                    else:
+                        self.skip_ws()
+                    break
+                if ch == ("}" if is_object else "]"):
+                    self.pos += 1
+                    stack.pop()
+                    node = container
+                    continue
+                self.fail("expected ',' or '}' in object" if is_object else "expected ',' or ']' in array")
+            if not stack:
+                return node
+
+    def _parse_scalar(self, ch: str) -> _Node:
         if ch == '"':
             return self.parse_string()
         if ch == "-" or _is_digit(ch):
@@ -252,74 +296,28 @@ class _Reader:
                 return node
         self.fail(f"unexpected character {ch!r}")
 
-    def parse_object(self) -> _Node:
-        values: dict[str, object] = {}
-        children: dict[str, _Node] = {}
-        key_offsets: dict[str, int] = {}
-        node = _Node(values, self.pos, children, key_offsets)
+    def _parse_key(self) -> _Node:
+        """An object key and its colon, up to the start of its value."""
+        self.skip_ws()
+        if self.pos >= len(self.text) or self.text[self.pos] != '"':
+            self.fail("expected an object key string")
+        key_node = self.parse_string()
+        self.skip_ws()
+        if self.pos >= len(self.text) or self.text[self.pos] != ":":
+            self.fail("expected ':' after object key")
         self.pos += 1
         self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == "}":
-            self.pos += 1
-            return node
-        while True:
-            self.skip_ws()
-            if self.pos >= len(self.text) or self.text[self.pos] != '"':
-                self.fail("expected an object key string")
-            key_node = self.parse_string()
-            key = key_node.value
-            self.skip_ws()
-            if self.pos >= len(self.text) or self.text[self.pos] != ":":
-                self.fail("expected ':' after object key")
-            self.pos += 1
-            self.skip_ws()
-            child = self.parse_value()
-            if key in children:
-                # Recoverable: keep the first binding, report the repeat.
-                self.errors.append(
-                    ParseError(*self.location(key_node.pos), "DuplicateKey", f"duplicate key {key!r}")
-                )
-            else:
-                values[key] = child.value
-                children[key] = child
-                key_offsets[key] = key_node.pos
-            self.skip_ws()
-            if self.pos >= len(self.text):
-                self.fail("unterminated object")
-            ch = self.text[self.pos]
-            if ch == ",":
-                self.pos += 1
-                continue
-            if ch == "}":
-                self.pos += 1
-                return node
-            self.fail("expected ',' or '}' in object")
+        return key_node
 
-    def parse_array(self) -> _Node:
-        values: list[object] = []
-        children: list[_Node] = []
-        node = _Node(values, self.pos, children)
-        self.pos += 1
-        self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == "]":
-            self.pos += 1
-            return node
-        while True:
-            self.skip_ws()
-            child = self.parse_value()
-            values.append(child.value)
-            children.append(child)
-            self.skip_ws()
-            if self.pos >= len(self.text):
-                self.fail("unterminated array")
-            ch = self.text[self.pos]
-            if ch == ",":
-                self.pos += 1
-                continue
-            if ch == "]":
-                self.pos += 1
-                return node
-            self.fail("expected ',' or ']' in array")
+    def _bind(self, container: _Node, key_node: _Node, child: _Node) -> None:
+        key = key_node.value
+        if key in container.children:
+            # Recoverable: keep the first binding, report the repeat.
+            self.errors.append(ParseError(*self.location(key_node.pos), "DuplicateKey", f"duplicate key {key!r}"))
+        else:
+            container.value[key] = child.value
+            container.children[key] = child
+            container.key_offsets[key] = key_node.pos
 
     def parse_string(self) -> _Node:
         text = self.text

@@ -395,11 +395,9 @@ def element_text(model: DesignModel, element_id: str) -> str:
     if entry is None:
         raise UnknownElement(f"no design element with id {element_id!r}")
     domain, element = entry
-    if domain is Domain.FUNCTION:
-        return element.text
-    if domain is Domain.REQUIREMENT:
-        return element.text
-    return element.name
+    if domain is Domain.COMPONENT:
+        return element.name
+    return element.text
 
 
 def get_failure_mode(model: DesignModel, fm_id: str) -> FailureMode:

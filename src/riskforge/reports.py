@@ -3,8 +3,10 @@
 A complete run produces two risk-consequence priority reports
 (requirements and functions, ordered by propagated severity) and three
 failure-mode worksheets, one per element domain, that together contain
-every failure mode exactly once. All emitters are pure and
-byte-deterministic: the same bundle always renders to the same bytes.
+every failure mode exactly once. Each artifact kind has one column
+layout, and one emitter renders every kind in csv, md and json from it.
+All emitters are pure and byte-deterministic: the same bundle always
+renders to the same bytes.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path as FsPath
 
 from .analysis import AnalysisResult, RpnRow, analyze
@@ -38,15 +41,6 @@ FMEA_CSV_HEADER = (
 PRIORITY_CSV_HEADER = ("element_id", "element_text", "severity", "priority")
 
 FORMATS = ("csv", "md", "json")
-
-#: File stem for each artifact when a bundle is written to a directory.
-ARTIFACT_STEMS = (
-    "requirement_priority",
-    "function_priority",
-    "fmea_component",
-    "fmea_function",
-    "fmea_requirement",
-)
 
 
 class ValidationFailed(Exception):
@@ -226,126 +220,61 @@ def run_procedure(model: DesignModel, *, propagate_detection: bool = True) -> Ar
 # newlines are wrapped, embedded quotes doubled); every format ends with a
 # trailing newline.
 
-
-def _fmea_cells(row: FmeaRow) -> list[str]:
-    return [
-        row.element_id,
-        row.element_text,
-        row.fm_id,
-        row.category,
-        row.description,
-        row.effects,
-        str(row.severity),
-        row.causes,
-        str(row.occurrence),
-        row.control,
-        "-" if row.detection is None else str(row.detection),
-        str(row.rpn),
-        str(row.rank_position),
-    ]
-
-
-def _priority_cells(row: PriorityRow) -> list[str]:
-    return [
-        row.element_id,
-        row.element_text,
-        "-" if row.severity is None else str(row.severity),
-        str(row.position),
-    ]
-
-
-def _emit_csv(header: tuple[str, ...], cell_rows: list[list[str]], stamp: str | None) -> str:
-    buffer = io.StringIO()
-    if stamp:
-        buffer.write(f"# {stamp}\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(cell_rows)
-    return buffer.getvalue()
+#: One layout per artifact kind: its header, whose names are also the json
+#: row keys, and the row attributes, which the row dataclasses declare in
+#: header order.
+_LAYOUTS = {
+    FmeaDocument: (FMEA_CSV_HEADER, attrgetter(*(field.name for field in fields(FmeaRow)))),
+    PriorityReport: (PRIORITY_CSV_HEADER, attrgetter(*(field.name for field in fields(PriorityRow)))),
+}
 
 
 def _md_escape(cell: str) -> str:
     return cell.replace("|", "\\|").replace("\n", " ")
 
 
-def _emit_md(header: tuple[str, ...], cell_rows: list[list[str]], stamp: str | None) -> str:
-    lines = []
-    if stamp:
-        lines.append(f"<!-- {stamp} -->")
-    lines.append("| " + " | ".join(header) + " |")
-    lines.append("|" + "|".join(" --- " for _ in header) + "|")
-    for cells in cell_rows:
-        lines.append("| " + " | ".join(_md_escape(c) for c in cells) + " |")
-    return "\n".join(lines) + "\n"
-
-
-def _emit_json(payload: dict, stamp: str | None) -> str:
-    if stamp:
-        payload = {"provenance": stamp, **payload}
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+def _emit(artifact: PriorityReport | FmeaDocument, format: str, stamp: str | None) -> str:
+    """Render any artifact in any format from its kind's layout."""
+    header, values = _LAYOUTS[type(artifact)]
+    if format == "json":
+        payload = {"domain": artifact.domain.value, "rows": [dict(zip(header, values(row))) for row in artifact.rows]}
+        if stamp:
+            payload = {"provenance": stamp, **payload}
+        return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    cell_rows = [["-" if value is None else str(value) for value in values(row)] for row in artifact.rows]
+    if format == "csv":
+        buffer = io.StringIO()
+        if stamp:
+            buffer.write(f"# {stamp}\n")
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(cell_rows)
+        return buffer.getvalue()
+    if format == "md":
+        lines = []
+        if stamp:
+            lines.append(f"<!-- {stamp} -->")
+        lines.append("| " + " | ".join(header) + " |")
+        lines.append("|" + "|".join(" --- " for _ in header) + "|")
+        for cells in cell_rows:
+            lines.append("| " + " | ".join(_md_escape(c) for c in cells) + " |")
+        return "\n".join(lines) + "\n"
+    raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
 
 
 def emit_fmea_document(document: FmeaDocument, format: str = "csv", stamp: str | None = None) -> str:
     """Render one worksheet; identical documents give identical bytes."""
-    cell_rows = [_fmea_cells(row) for row in document.rows]
-    if format == "csv":
-        return _emit_csv(FMEA_CSV_HEADER, cell_rows, stamp)
-    if format == "md":
-        return _emit_md(FMEA_CSV_HEADER, cell_rows, stamp)
-    if format == "json":
-        payload = {
-            "domain": document.domain.value,
-            "rows": [
-                {
-                    "element_id": row.element_id,
-                    "element_text": row.element_text,
-                    "fm_id": row.fm_id,
-                    "category": row.category,
-                    "description": row.description,
-                    "effects": row.effects,
-                    "severity": row.severity,
-                    "causes": row.causes,
-                    "occurrence": row.occurrence,
-                    "control": row.control,
-                    "detection": row.detection,
-                    "rpn": row.rpn,
-                    "rank": row.rank_position,
-                }
-                for row in document.rows
-            ],
-        }
-        return _emit_json(payload, stamp)
-    raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
+    return _emit(document, format, stamp)
 
 
 def emit_priority_report(report: PriorityReport, format: str = "csv", stamp: str | None = None) -> str:
     """Render one priority report; identical reports give identical bytes."""
-    cell_rows = [_priority_cells(row) for row in report.rows]
-    if format == "csv":
-        return _emit_csv(PRIORITY_CSV_HEADER, cell_rows, stamp)
-    if format == "md":
-        return _emit_md(PRIORITY_CSV_HEADER, cell_rows, stamp)
-    if format == "json":
-        payload = {
-            "domain": report.domain.value,
-            "rows": [
-                {
-                    "element_id": row.element_id,
-                    "element_text": row.element_text,
-                    "severity": row.severity,
-                    "priority": row.position,
-                }
-                for row in report.rows
-            ],
-        }
-        return _emit_json(payload, stamp)
-    raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
+    return _emit(report, format, stamp)
 
 
 def emit_artifact(name: str, artifact: PriorityReport | FmeaDocument, format: str, stamp: str | None = None) -> str:
-    if isinstance(artifact, PriorityReport):
-        return emit_priority_report(artifact, format, stamp)
-    return emit_fmea_document(artifact, format, stamp)
+    """Render one artifact of a bundle; ``name`` is its entry in ``documents()``."""
+    return _emit(artifact, format, stamp)
 
 
 def write_bundle(

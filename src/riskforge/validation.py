@@ -23,6 +23,7 @@ from .model import (
 from .rating import (
     ALL_SEVERITY_CLASS_NAMES,
     SEVERITY_CLASSES,
+    RankBand,
     detection_band,
     occurrence_band,
     severity_band,
@@ -223,72 +224,67 @@ def _check_failure_modes(model: DesignModel, findings: list[Finding]) -> None:
             )
 
         for j, cause in enumerate(fm.causes):
-            rank_path = base + ("causes", j, "occurrence_rank")
-            rank_ok = _check_rank(findings, cause.occurrence_rank, rank_path)
-            if rank_ok and cause.occurrence_rank is not None and cause.frequency is not None:
-                band = occurrence_band(cause.frequency)
-                if cause.occurrence_rank not in band:
-                    _error(
-                        findings,
-                        "RankBandMismatch",
-                        f"occurrence rank {cause.occurrence_rank} is outside band"
-                        f" {band} for frequency {cause.frequency}",
-                        rank_path,
-                    )
+            if cause.occurrence_rank is not None:
+                _check_rank(
+                    findings,
+                    "occurrence",
+                    cause.occurrence_rank,
+                    None if cause.frequency is None else occurrence_band(cause.frequency),
+                    f"frequency {cause.frequency}",
+                    base + ("causes", j, "occurrence_rank"),
+                )
 
         for j, effect in enumerate(fm.effects):
-            rank_path = base + ("effects", j, "severity_rank")
-            rank_ok = _check_rank(findings, effect.severity_rank, rank_path)
-            if effect.severity_class is None:
-                continue
-            class_path = base + ("effects", j, "severity_class")
-            if effect.severity_class not in ALL_SEVERITY_CLASS_NAMES:
-                _error(
-                    findings,
-                    "UnknownSeverityClass",
-                    f'"{effect.severity_class}" is not a severity class',
-                    class_path,
-                )
-            elif domain is not None:
-                if effect.severity_class not in SEVERITY_CLASSES[domain]:
+            band = None
+            if effect.severity_class is not None:
+                class_path = base + ("effects", j, "severity_class")
+                if effect.severity_class not in ALL_SEVERITY_CLASS_NAMES:
                     _error(
                         findings,
-                        "SeverityClassDomainMismatch",
-                        f'severity class "{effect.severity_class}" is not valid'
-                        f" for {domain.value} elements",
+                        "UnknownSeverityClass",
+                        f'"{effect.severity_class}" is not a severity class',
                         class_path,
                     )
-                elif rank_ok and effect.severity_rank is not None:
-                    band = severity_band(domain, effect.severity_class)
-                    if effect.severity_rank not in band:
+                elif domain is not None:
+                    if effect.severity_class not in SEVERITY_CLASSES[domain]:
                         _error(
                             findings,
-                            "RankBandMismatch",
-                            f"severity rank {effect.severity_rank} is outside band"
-                            f' {band} for class "{effect.severity_class}"',
-                            rank_path,
+                            "SeverityClassDomainMismatch",
+                            f'severity class "{effect.severity_class}" is not valid'
+                            f" for {domain.value} elements",
+                            class_path,
                         )
+                    else:
+                        band = severity_band(domain, effect.severity_class)
+            if effect.severity_rank is not None:
+                _check_rank(
+                    findings,
+                    "severity",
+                    effect.severity_rank,
+                    band,
+                    f'class "{effect.severity_class}"',
+                    base + ("effects", j, "severity_rank"),
+                )
 
-        if fm.control is not None:
-            rank_path = base + ("control", "detection_rank")
-            rank_ok = _check_rank(findings, fm.control.detection_rank, rank_path)
-            if rank_ok and fm.control.detection_rank is not None:
-                band = detection_band(fm.control.method_class)
-                if fm.control.detection_rank not in band:
-                    _error(
-                        findings,
-                        "RankBandMismatch",
-                        f"detection rank {fm.control.detection_rank} is outside band"
-                        f' {band} for control class "{fm.control.method_class}"',
-                        rank_path,
-                    )
+        if fm.control is not None and fm.control.detection_rank is not None:
+            _check_rank(
+                findings,
+                "detection",
+                fm.control.detection_rank,
+                detection_band(fm.control.method_class),
+                f'control class "{fm.control.method_class}"',
+                base + ("control", "detection_rank"),
+            )
 
 
-def _check_rank(findings: list[Finding], rank: object, path: Path) -> bool:
-    if rank is None or is_valid_rank(rank):
-        return True
-    _error(findings, "RankOutOfRange", f"rank must be an integer in 1..10, got {rank!r}", path)
-    return False
+def _check_rank(
+    findings: list[Finding], scale: str, rank: object, band: RankBand | None, basis: str, path: Path
+) -> None:
+    """Range-check a given rank, then check it against its band when it has one."""
+    if not is_valid_rank(rank):
+        _error(findings, "RankOutOfRange", f"rank must be an integer in 1..10, got {rank!r}", path)
+    elif band is not None and rank not in band:
+        _error(findings, "RankBandMismatch", f"{scale} rank {rank} is outside band {band} for {basis}", path)
 
 
 def _check_warnings(model: DesignModel, findings: list[Finding]) -> None:

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,9 +89,35 @@ class TestSyntaxErrors:
         assert [(e.line, e.column, e.code) for e in errors] == [(60, 28, "Syntax")]
         assert (stdlib.value.lineno, stdlib.value.colno) == (60, 28)
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ('{"a": 1', "line 1, column 8: unterminated object"),
+            ("[1", "line 1, column 3: unterminated array"),
+            ("[1 2]", "line 1, column 4: expected ',' or ']' in array"),
+            ('{"a" 1}', "line 1, column 6: expected ':' after object key"),
+            ("{1: 2}", "line 1, column 2: expected an object key string"),
+            ('{"a": 1 "b": 2}', "line 1, column 9: expected ',' or '}' in object"),
+            ('[{"a": [1}]', "line 1, column 10: expected ',' or ']' in array"),
+            ('{"a": [{}, {"b": 1]}', "line 1, column 19: expected ',' or '}' in object"),
+            ('{"a": 1,}', "line 1, column 9: expected an object key string"),
+            ("[1,]", "line 1, column 4: unexpected character ']'"),
+        ],
+    )
+    def test_container_errors(self, text, expected):
+        with pytest.raises(_SyntaxFailure) as excinfo:
+            _Reader(text, []).parse_document()
+        assert str(excinfo.value.error) == expected + " [Syntax]"
+
     def test_nesting_deeper_than_the_stack(self):
         errors = errors_of('{"meta": ' + "[" * 100_000)
-        assert [(e.line, e.code, e.message) for e in errors] == [(1, "Syntax", "values nest too deeply")]
+        assert [(e.line, e.code, e.message) for e in errors] == [(1, "Syntax", "unexpected end of input")]
+
+    @pytest.mark.parametrize("depth", [600, sys.getrecursionlimit() + 50])
+    def test_deep_valid_nesting_gives_the_true_error(self, depth):
+        # Valid JSON nested past where a recursive reader runs out of stack.
+        text = CAMERA_JSON.read_text(encoding="utf-8").replace('"Smartphone"', "[" * depth + "]" * depth, 1)
+        assert [str(e) for e in errors_of(text)] == ["line 3, column 16: meta.product: expected a string [Type]"]
 
     def test_integer_past_the_conversion_limit(self):
         text = MINIMAL.replace('"version": "1"', '"version": ' + "9" * 5000)

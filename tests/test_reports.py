@@ -181,6 +181,13 @@ class TestOtherFormats:
         priority = json.loads(emit_priority_report(bundle.function_priority, "json"))
         assert priority["rows"][0]["priority"] == 1
 
+    def test_json_row_keys_follow_the_csv_header(self, camera_model):
+        for name, artifact in run_procedure(camera_model).documents():
+            header = next(csv.reader(io.StringIO(emit_artifact(name, artifact, "csv"))))
+            rows = json.loads(emit_artifact(name, artifact, "json"))["rows"]
+            assert rows, name
+            assert all(list(row) == header for row in rows), name
+
     def test_unknown_format_rejected(self, camera_model):
         bundle = run_procedure(camera_model)
         with pytest.raises(ValueError):
@@ -333,6 +340,43 @@ CAMERA_DIGESTS = {
 }
 
 
+# The same fifteen documents with the provenance stamp that
+# `riskforge analyze --stamp` writes for camera.json.
+CAMERA_STAMP = "generated by riskforge 0.1.0 | Smartphone 1.0"
+CAMERA_STAMPED_DIGESTS = {
+    ("csv", "requirement_priority"):
+        "18c9e1673c6e93bf05c281b411dcc30a3e9b8232e8a45c00160f326467dca077",
+    ("csv", "function_priority"):
+        "2f81bd52e396f91654f9e162b818a7a3ac2993779f8b6c16197ad95a06e0cf49",
+    ("csv", "fmea_component"):
+        "7bd2e44b37447c152fc5e6eb0e796bf889effeaf79ba1a922e006c9694b77051",
+    ("csv", "fmea_function"):
+        "f41767b42831be0c186dc524903d8010337acaf682c236a9e137b2718e49d3b8",
+    ("csv", "fmea_requirement"):
+        "001939ff95898e6e45c93f4e2decdd0a614ed339ac8f2d8e37d002bd91ad7760",
+    ("md", "requirement_priority"):
+        "9af14c8912d3ad5f96b6fab9c6d2e7b4cef3d98e764b9e91528f51dedeef000f",
+    ("md", "function_priority"):
+        "6d632d7a9c135866acfeaea204877cbae3347ec2e9a6f180f2a43b1f5baff89b",
+    ("md", "fmea_component"):
+        "d8309141b9826d4bee95b1c4c6c2c9623005003977bfcec17451c411ceb98e3d",
+    ("md", "fmea_function"):
+        "8e10e3593f0708c3cfaedbaaaddd434be30d753c1ce30123973ea0864bc470e3",
+    ("md", "fmea_requirement"):
+        "2d2ea8ae45194def58e330496f767400e7d7e3c96e852ec3e4704cc8cb05e1b4",
+    ("json", "requirement_priority"):
+        "23c65334fc8357d5b197d57d9687c39f1debf8ac124d272325aa481db9dcaa35",
+    ("json", "function_priority"):
+        "cae765083abee6eaf16b87f29a21fc5550c56df3beb0d206d627bc1fb66280db",
+    ("json", "fmea_component"):
+        "205e971edf5873ab570eaa9b54ec22a6a71dce42514a2d4fbfb75aa8fb115fff",
+    ("json", "fmea_function"):
+        "9d340781ad91155b2b66383cc7cb7bdc5d99453d28a069c078249b1ece973752",
+    ("json", "fmea_requirement"):
+        "854cd068e2d5812edf098c52633321996985331766c3493b50e6f31f40acf92f",
+}
+
+
 class TestGoldenBytes:
     def test_camera_artifacts_keep_their_bytes(self):
         model = parse_model(CAMERA_JSON.read_text(encoding="utf-8"))
@@ -344,3 +388,12 @@ class TestGoldenBytes:
                     text = emit_artifact(name, artifact, fmt)
                     digests[propagate, fmt, name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digests == CAMERA_DIGESTS
+
+    def test_stamped_camera_artifacts_keep_their_bytes(self):
+        bundle = run_procedure(parse_model(CAMERA_JSON.read_text(encoding="utf-8")))
+        digests = {
+            (fmt, name): hashlib.sha256(emit_artifact(name, artifact, fmt, CAMERA_STAMP).encode("utf-8")).hexdigest()
+            for fmt in ("csv", "md", "json")
+            for name, artifact in bundle.documents()
+        }
+        assert digests == CAMERA_STAMPED_DIGESTS

@@ -142,6 +142,7 @@ class TestStructuralErrors:
         )
         report = validate_model(model, STRUCTURAL)
         assert codes(report, "error") == ["RankBandMismatch"]
+        assert report.errors[0].message == "occurrence rank 5 is outside band 9-10 for frequency 1/10"
 
     def test_occurrence_rank_inside_frequency_band(self):
         model = small_model(
@@ -165,6 +166,7 @@ class TestStructuralErrors:
         )
         report = validate_model(model, STRUCTURAL)
         assert codes(report, "error") == ["RankBandMismatch"]
+        assert report.errors[0].message == 'severity rank 5 is outside band 9-10 for class "SafetyIssue"'
 
     def test_severity_class_from_wrong_domain(self):
         model = small_model(
@@ -201,6 +203,7 @@ class TestStructuralErrors:
         )
         report = validate_model(model, STRUCTURAL)
         assert codes(report, "error") == ["RankBandMismatch"]
+        assert report.errors[0].message == 'detection rank 9 is outside band 1 for control class "RealLifeProductTest"'
 
 
 class TestWarnings:
