@@ -255,8 +255,11 @@ def analyze(model: DesignModel, *, propagate_detection: bool = True) -> Analysis
     descending, then element id and failure mode id; positions are dense
     from 1. The tail of the ordering exists purely to make it total.
     """
-    table = _checked_table(model, 0, 1, 2)
+    return _prioritize(model, _checked_table(model, 0, 1, 2), propagate_detection)
 
+
+def _prioritize(model: DesignModel, table: RatingTable, propagate_detection: bool) -> AnalysisResult:
+    """``analyze`` on a rating table whose leaves are rated."""
     keyed = []
     for fm, (severity, occurrence, detection) in zip(model.failure_modes, table.ratings):
         domain = element_domain(model, fm.element)

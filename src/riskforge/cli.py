@@ -19,18 +19,12 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .analysis import AnalysisError, analyze, trace
+from .analysis import _prioritize, trace
 from .io import ParseFailure, parse_model
 from .model import Domain, Frequency, UnknownFailureMode
 from .rating import detection_band, occurrence_band, severity_band
-from .reports import (
-    FORMATS,
-    ValidationFailed,
-    emit_artifact,
-    run_procedure,
-    write_bundle,
-)
-from .validation import ANALYSIS_READY, STRUCTURAL, Finding, validate_model
+from .reports import FORMATS, ValidationFailed, _run_procedure, emit_artifact, write_bundle
+from .validation import ANALYSIS_READY, STRUCTURAL, Finding, _complete
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -62,6 +56,7 @@ def _print_findings(findings: tuple[Finding, ...]) -> None:
 
 
 def _load_model(path: str):
+    """The parsed model, which has no structural errors, or None after a diagnostic."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -80,7 +75,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if model is None:
         return EXIT_USAGE
     strictness = ANALYSIS_READY if args.analysis_ready else STRUCTURAL
-    report = validate_model(model, strictness)
+    report, _ = _complete(model, [], strictness)
     _print_findings(report.findings)
     print(f"validation: {len(report.errors)} error(s), {len(report.warnings)} warning(s)")
     if report.has_errors:
@@ -95,22 +90,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if model is None:
         return EXIT_USAGE
     try:
-        bundle = run_procedure(model, propagate_detection=not args.no_detection_propagation)
+        bundle = _run_procedure(model, [], not args.no_detection_propagation)
     except ValidationFailed as exc:
         _print_findings(exc.report.findings)
-        return EXIT_FINDINGS
-    except AnalysisError as exc:
-        _diag("error", f"{exc} [{type(exc).__name__}]")
         return EXIT_FINDINGS
 
     _print_findings(bundle.validation.warnings)
 
     stamp = None
     if args.stamp:
-        stamp = (
-            f"generated by riskforge {__version__}"
-            f" | {model.meta.product} {model.meta.version}"
-        )
+        stamp = f"generated by riskforge {__version__} | {model.meta.product} {model.meta.version}"
 
     if args.out is not None:
         try:
@@ -144,28 +133,25 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_FRACTION_RE = re.compile(r"^(\d+)/(\d+)$")
+_FRACTION_RE = re.compile(r"([0-9]+)/([0-9]+)")
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    if args.scale == "occurrence":
-        match = _FRACTION_RE.match(args.frequency)
-        if not match or int(match.group(1)) < 1 or int(match.group(2)) < 1:
-            _diag("error", f"frequency must look like 1/1250, got {args.frequency!r}")
-            return EXIT_USAGE
-        band = occurrence_band(Frequency(int(match.group(1)), int(match.group(2))))
-    elif args.scale == "severity":
-        try:
+    try:
+        if args.scale == "occurrence":
+            match = _FRACTION_RE.fullmatch(args.frequency)
+            if match is None:
+                raise ValueError
+            band = occurrence_band(Frequency(int(match[1]), int(match[2])))
+        elif args.scale == "severity":
             band = severity_band(Domain(args.domain), args.severity_class)
-        except ValueError as exc:
-            _diag("error", str(exc))
-            return EXIT_USAGE
-    else:
-        try:
+        else:
             band = detection_band(args.detection_class)
-        except ValueError as exc:
-            _diag("error", str(exc))
-            return EXIT_USAGE
+    except ValueError as exc:
+        # No fraction, a zero (Frequency) or a numeral past the interpreter's digit limit (int).
+        problem = f"frequency must look like 1/1250, got {args.frequency!r}" if args.scale == "occurrence" else exc
+        _diag("error", str(problem))
+        return EXIT_USAGE
     print(f"band: {band}")
     print(f"representative rank: {band.hi}")
     return EXIT_OK
@@ -177,12 +163,12 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         model = _load_model(path)
         if model is None:
             return EXIT_USAGE
-        report = validate_model(model, ANALYSIS_READY)
+        report, table = _complete(model, [], ANALYSIS_READY)
         if report.has_errors:
             _diag("error", f"{path} is not analysis-ready")
             _print_findings(report.findings)
             return EXIT_FINDINGS
-        results.append(analyze(model))
+        results.append(_prioritize(model, table, propagate_detection=True))
 
     old_rows = {row.fm_id: row for row in results[0].rows}
     new_rows = {row.fm_id: row for row in results[1].rows}

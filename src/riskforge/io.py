@@ -45,7 +45,7 @@ from .model import (
     Meta,
     Requirement,
 )
-from .validation import STRUCTURAL, Path, render_path, validate_model
+from .validation import Path, _structural_errors, render_path
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,7 +112,7 @@ def _parse_fast(text: str) -> DesignModel | None:
         # long to convert, or nesting deeper than the interpreter's stack.
         return None
     model = _walk_model(_Walker(), data)
-    if model is None or validate_model(model, STRUCTURAL).has_errors:
+    if model is None or _structural_errors(model):
         return None
     return model
 
@@ -134,17 +134,11 @@ def _parse_positioned(text: str) -> DesignModel:
     model = _walk_model(walker, root.value)
     for path, key, code, message in walker.problems:
         errors.append(ParseError(*reader.location(_offset(root, path, key)), code, message))
+    if not errors and model is not None:
+        for finding in _structural_errors(model):
+            errors.append(ParseError(*reader.location(_offset(root, finding.path)), finding.code, finding.message))
     if errors or model is None:
         raise ParseFailure(errors)
-
-    report = validate_model(model, STRUCTURAL)
-    if report.has_errors:
-        raise ParseFailure(
-            [
-                ParseError(*reader.location(_offset(root, finding.path)), finding.code, finding.message)
-                for finding in report.errors
-            ]
-        )
     return model
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path as FsPath
 
-from .analysis import AnalysisResult, RpnRow, analyze
+from .analysis import AnalysisResult, RpnRow, _prioritize
 from .model import DesignModel, Domain, element_text
-from .validation import ANALYSIS_READY, ValidationReport, validate_model
+from .validation import ANALYSIS_READY, Finding, ValidationReport, _complete, _structural_errors
 
 FMEA_CSV_HEADER = (
     "element_id",
@@ -194,17 +194,22 @@ def _fmea_row(model: DesignModel, row: RpnRow) -> FmeaRow:
 def run_procedure(model: DesignModel, *, propagate_detection: bool = True) -> ArtifactBundle:
     """Run the full pipeline: validate, propagate, prioritize, document.
 
-    Order of work: validation gates everything; severity flows forward and
-    feeds the two priority reports; detection is assigned and the
-    component worksheet completed; occurrence flows backward and completes
-    the function and then the requirement worksheets. Raises
-    ValidationFailed when the model has validation errors.
+    Order of work, one pass each: the structural checks; the analysis-ready
+    report, whose rating checks read the one rating table (own ratings,
+    severity forward, occurrence and detection backward); prioritization
+    from that same table; the two priority reports and three worksheets.
+    Raises ValidationFailed when the model has validation errors.
     """
-    report = validate_model(model, ANALYSIS_READY)
+    return _run_procedure(model, _structural_errors(model), propagate_detection)
+
+
+def _run_procedure(model: DesignModel, errors: list[Finding], propagate_detection: bool) -> ArtifactBundle:
+    """``run_procedure`` after the structural checks, which found ``errors``."""
+    report, table = _complete(model, errors, ANALYSIS_READY)
     if report.has_errors:
         raise ValidationFailed(report)
 
-    result = analyze(model, propagate_detection=propagate_detection)
+    result = _prioritize(model, table, propagate_detection)
     return ArtifactBundle(
         requirement_priority=risk_consequence_report(model, result.severity, Domain.REQUIREMENT),
         function_priority=risk_consequence_report(model, result.severity, Domain.FUNCTION),

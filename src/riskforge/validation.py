@@ -101,17 +101,31 @@ def validate_model(model: DesignModel, strictness: str = STRUCTURAL) -> Validati
     """
     if strictness not in (STRUCTURAL, ANALYSIS_READY):
         raise ValueError(f"strictness must be {STRUCTURAL!r} or {ANALYSIS_READY!r}")
+    return _complete(model, _structural_errors(model), strictness)[0]
 
+
+def _structural_errors(model: DesignModel) -> list[Finding]:
+    """Identity, cross-reference and rank errors; a parsed model has none."""
     findings: list[Finding] = []
     _check_duplicate_ids(model, findings)
     _check_edges(model, findings)
     _check_failure_modes(model, findings)
+    return findings
+
+
+def _complete(
+    model: DesignModel, findings: list[Finding], strictness: str
+) -> tuple[ValidationReport, _analysis.RatingTable | None]:
+    """Add warnings, and at the analysis-ready level the rating checks, to the structural
+    ``findings``; return the sorted report and the rating table read (None if structural)."""
     _check_warnings(model, findings)
+    table = None
     if strictness == ANALYSIS_READY:
-        _check_analysis_ready(model, findings)
+        table = _analysis.rating_table(model)
+        _check_analysis_ready(model, table, findings)
 
     findings.sort(key=lambda f: (_path_sort_key(f.path), f.code, f.message))
-    return ValidationReport(strictness=strictness, findings=tuple(findings))
+    return ValidationReport(strictness=strictness, findings=tuple(findings)), table
 
 
 def _error(findings: list[Finding], code: str, message: str, path: Path) -> None:
@@ -340,11 +354,9 @@ def _check_warnings(model: DesignModel, findings: list[Finding]) -> None:
                 )
 
 
-def _check_analysis_ready(model: DesignModel, findings: list[Finding]) -> None:
+def _check_analysis_ready(model: DesignModel, table: _analysis.RatingTable, findings: list[Finding]) -> None:
     # Tolerant propagation: unrated failure modes simply contribute
     # nothing, so coverage holes show up as absent map entries.
-    table = _analysis.rating_table(model)
-
     for index, (fm, (severity, occurrence, _)) in enumerate(zip(model.failure_modes, table.ratings)):
         base: Path = ("failure_modes", index)
         domain = _fm_domain(model, fm)

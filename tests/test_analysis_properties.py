@@ -132,6 +132,9 @@ class TestReadinessGuarantee:
         report = validate_model(model, ANALYSIS_READY)
         if not report.has_errors:
             run_procedure(model)
+            analyze(model)
+            analyze(model, propagate_detection=False)
+            propagate(model)
 
     @given(seed=seeds)
     @settings(max_examples=100, deadline=None)

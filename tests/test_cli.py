@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+from collections import Counter
 import io
 import json
 import sys
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_camera_model, make_smartphone_model
-from riskforge import serialize_model
+from riskforge import analysis, serialize_model, validation
 from riskforge.cli import main
 
 CAMERA_JSON = Path(__file__).resolve().parent.parent / "sample_models" / "camera.json"
@@ -203,9 +204,11 @@ class TestRankCommand:
         assert main(["rank", "detection", "NoApparentMethod"]) == 0
         assert "band: 9-10" in capsys.readouterr().out
 
-    def test_bad_fraction_is_usage_error(self):
-        assert main(["rank", "occurrence", "often"]) == 2
-        assert main(["rank", "occurrence", "0/5"]) == 2
+    def test_bad_fraction_is_usage_error(self, capsys):
+        # The last three: past the interpreter's digit limit, non-ASCII digits, a trailing newline.
+        for frequency in ("often", "0/5", "1/" + "9" * 5000, "\u0661/\u0661\u0662\u0665\u0660", "1/1250\n"):
+            assert main(["rank", "occurrence", frequency]) == 2
+            assert capsys.readouterr().err == f"error: frequency must look like 1/1250, got {frequency!r}\n"
 
     def test_unknown_class_is_usage_error(self):
         assert main(["rank", "severity", "component", "ChooseCompetitor"]) == 2
@@ -250,6 +253,34 @@ class TestDiffCommand:
 
     def test_invalid_model_exits_one(self, camera_path, smartphone_path):
         assert main(["diff", camera_path, smartphone_path]) == 1
+
+
+class TestOnePassPerStage:
+    COUNTED = (
+        (validation, "_check_duplicate_ids"),
+        (validation, "_check_edges"),
+        (validation, "_check_failure_modes"),
+        (validation, "_check_warnings"),
+        (validation, "_check_analysis_ready"),
+        (analysis, "rating_table"),
+    )
+
+    @pytest.mark.parametrize(
+        "argv, models",
+        [(["analyze", "MODEL"], 1), (["validate", "MODEL", "--analysis-ready"], 1), (["diff", "MODEL", "MODEL"], 2)],
+        ids=["analyze", "validate", "diff"],
+    )
+    def test_each_check_and_the_rating_table_run_once_per_model(self, argv, models, camera_path, monkeypatch):
+        calls = Counter()
+        for module, name in self.COUNTED:
+
+            def counted(*args, _call=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _call(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        assert main([camera_path if arg == "MODEL" else arg for arg in argv]) == 0
+        assert calls == {name: models for _, name in self.COUNTED}
 
 
 class TestDiagnostics:
