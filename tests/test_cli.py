@@ -2,11 +2,11 @@
 
 import contextlib
 import dataclasses
-from collections import Counter
 import io
 import json
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
