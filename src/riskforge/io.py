@@ -5,20 +5,22 @@ rejected so that a typo in a hand-authored file cannot silently drop
 data. Parsing reports every problem it can find at once, each with a
 1-based line and column into the input; structural validation runs as
 part of parsing, so a file that parses always yields a structurally
-sound model. Serialization is canonical (fixed key order, 2-space
-indent, LF endings, trailing newline) and byte-deterministic, and
-``parse_model(serialize_model(m))`` reproduces ``m`` exactly.
+sound model.
 
 Parsing takes one of two paths through a single schema walker. The
 stdlib decoder reads the document, the walker builds the model and
 structural validation checks it; a sound document gets no position
-computed at all. A document that fails any of those steps is read again
-by a position-tracking reader, which reports syntax errors and duplicate
-keys itself, and walked again; each problem, kept as a model path, is
-then resolved against the reader's tree to a line and column.
+computed at all. A document that fails any of those steps, or escapes a
+surrogate, is read again by a position-tracking reader, which reports
+syntax errors and duplicate keys itself, and walked again; each problem,
+kept as a model path, is then resolved against the reader's tree to a
+line and column.
 
-Frequencies are written as two-integer arrays to keep band boundaries
-exact; several of them have no finite binary-float form.
+Serialization writes what ``json.dumps(data, indent=2, ensure_ascii=False)``
+gives for the model's plain form (fixed key order, LF endings, trailing
+newline; frequencies as two-integer arrays, exact where binary floats are
+not), one writer per schema shape, and ``parse_model(serialize_model(m))``
+reproduces ``m`` exactly.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _str
 
 from .model import (
     CONTROL_METHOD_CLASSES,
@@ -104,7 +107,9 @@ def _reject_constant(name: str) -> None:
 
 
 def _parse_fast(text: str) -> DesignModel | None:
-    """The model, or None when the document has any problem at all."""
+    """The model, or None when the document has any problem at all or escapes a surrogate."""
+    if _SURROGATE_ESCAPE.search(text):
+        return None
     try:
         data = json.loads(text, object_pairs_hook=_unique_object, parse_constant=_reject_constant)
     except (ValueError, RecursionError):
@@ -190,6 +195,8 @@ _WHITESPACE = re.compile(r"[ \t\n\r]*")
 # A run of string characters that need no attention: not a quote, a
 # backslash or a control character.
 _PLAIN_RUN = re.compile(r'[^"\\\x00-\x1f]*')
+# An escaped surrogate: only this reader tells a pair from a lone half.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def _is_digit(ch: str) -> bool:
@@ -333,6 +340,7 @@ class _Reader:
             pieces.append(self._parse_escape())
 
     def _parse_escape(self) -> str:
+        start = self.pos
         self.pos += 1
         if self.pos >= len(self.text):
             self.fail("unterminated escape sequence")
@@ -349,6 +357,10 @@ class _Reader:
                 if 0xDC00 <= low <= 0xDFFF:
                     return chr(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
                 self.pos = save
+            if 0xD800 <= code <= 0xDFFF:
+                # Recoverable: the string reads as the stdlib reads it.
+                message = f"unpaired surrogate escape '{self.text[start : self.pos]}'"
+                self.errors.append(ParseError(*self.location(start), "Syntax", message))
             return chr(code)
         self.fail(f"invalid escape sequence '\\{ch}'")
 
@@ -693,82 +705,108 @@ def _walk_failure_mode(w: _Walker, value: object, path: Path) -> FailureMode | N
 
 
 # ---------------------------------------------------------------------------
-# Canonical serialization.
+# Canonical serialization: one writer per shape, each at its fixed depth.
 
 
-def model_to_data(model: DesignModel) -> dict:
-    """The model as a plain JSON-ready dict in canonical key order.
-
-    Optional fields at their defaults are omitted, so serializing a
-    just-parsed model reproduces a minimal document.
-    """
-    data: dict = {
-        "meta": {"product": model.meta.product, "version": model.meta.version},
-        "requirements": [{"id": r.id, "text": r.text} for r in model.requirements],
-        "functions": [_function_data(f) for f in model.functions],
-        "components": [_component_data(c) for c in model.components],
-        "rf": [[e.source, e.target] for e in model.rf],
-        "fc": [[e.source, e.target] for e in model.fc],
-        "failure_modes": [_failure_mode_data(fm) for fm in model.failure_modes],
-    }
-    return data
+def _container(items: list[str] | tuple[str, ...], depth: int, brackets: str | tuple[str, str]) -> str:
+    """An array or object (``brackets`` "[]" or "{}") at ``depth``; ``("{", "}\\n")`` ends a document in one copy."""
+    if not items:
+        return brackets[0] + brackets[1]
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{outer}{brackets[1]}"
 
 
-def _function_data(function: Function) -> dict:
-    data: dict = {"id": function.id, "verb": function.verb, "noun": function.noun}
-    if function.inputs:
-        data["inputs"] = [{"description": f.description, "kind": f.kind} for f in function.inputs]
-    if function.outputs:
-        data["outputs"] = [{"description": f.description, "kind": f.kind} for f in function.outputs]
-    return data
-
-
-def _component_data(component: Component) -> dict:
-    data: dict = {"id": component.id, "name": component.name}
-    if component.concept is not None:
-        data["concept"] = component.concept
-    return data
-
-
-def _failure_mode_data(fm: FailureMode) -> dict:
-    data: dict = {
-        "id": fm.id,
-        "element": fm.element,
-        "category": fm.category,
-        "description": fm.description,
-    }
-    if fm.effects:
-        data["effects"] = [_effect_data(e) for e in fm.effects]
-    if fm.causes:
-        data["causes"] = [_cause_data(c) for c in fm.causes]
-    if fm.control is not None:
-        control: dict = {"method_class": fm.control.method_class}
-        if fm.control.method_text is not None:
-            control["method_text"] = fm.control.method_text
-        if fm.control.detection_rank is not None:
-            control["detection_rank"] = fm.control.detection_rank
-        data["control"] = control
-    return data
-
-
-def _effect_data(effect: Effect) -> dict:
-    data: dict = {"text": effect.text}
-    if effect.severity_class is not None:
-        data["severity_class"] = effect.severity_class
-    if effect.severity_rank is not None:
-        data["severity_rank"] = effect.severity_rank
-    return data
-
-
-def _cause_data(cause: Cause) -> dict:
-    data: dict = {"text": cause.text}
-    if cause.occurrence_rank is not None:
-        data["occurrence_rank"] = cause.occurrence_rank
-    if cause.frequency is not None:
-        data["frequency"] = [cause.frequency.numerator, cause.frequency.denominator]
-    return data
+def _scalar(value: object) -> str:
+    """A str, int or None as ``json.dumps`` writes it, and a bool or float put in an unchecked slot."""
+    if isinstance(value, str):
+        return _str(value)
+    if value is None:
+        return "null"
+    if isinstance(value, (bool, float)):
+        return json.dumps(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"a {type(value).__name__} is not a JSON scalar")
 
 
 def serialize_model(model: DesignModel) -> str:
     """Render a model in canonical form; identical models give identical bytes."""
-    return json.dumps(model_to_data(model), indent=2, ensure_ascii=False) + "\n"
+    meta = ('"product": ' + _str(model.meta.product), '"version": ' + _str(model.meta.version))
+    members = (
+        '"meta": ' + _container(meta, 1, "{}"),
+        '"requirements": ' + _container([_requirement(r) for r in model.requirements], 1, "[]"),
+        '"functions": ' + _container([_function(f) for f in model.functions], 1, "[]"),
+        '"components": ' + _container([_component(c) for c in model.components], 1, "[]"),
+        '"rf": ' + _container([_edge(e) for e in model.rf], 1, "[]"),
+        '"fc": ' + _container([_edge(e) for e in model.fc], 1, "[]"),
+        '"failure_modes": ' + _container([_failure_mode(fm) for fm in model.failure_modes], 1, "[]"),
+    )
+    return _container(members, 0, ("{", "}\n"))
+
+
+def _requirement(requirement: Requirement) -> str:
+    return _container(('"id": ' + _str(requirement.id), '"text": ' + _str(requirement.text)), 2, "{}")
+
+
+def _edge(edge: MappingEdge) -> str:
+    return f"[\n      {_str(edge.source)},\n      {_str(edge.target)}\n    ]"
+
+
+def _function(function: Function) -> str:
+    members = ['"id": ' + _str(function.id), '"verb": ' + _str(function.verb), '"noun": ' + _str(function.noun)]
+    for key, flows in (('"inputs": ', function.inputs), ('"outputs": ', function.outputs)):
+        if flows:
+            items = [
+                _container(('"description": ' + _str(flow.description), '"kind": ' + _str(flow.kind)), 4, "{}")
+                for flow in flows
+            ]
+            members.append(key + _container(items, 3, "[]"))
+    return _container(members, 2, "{}")
+
+
+def _component(component: Component) -> str:
+    members = ['"id": ' + _str(component.id), '"name": ' + _str(component.name)]
+    if component.concept is not None:
+        members.append('"concept": ' + _scalar(component.concept))
+    return _container(members, 2, "{}")
+
+
+def _failure_mode(fm: FailureMode) -> str:
+    members = ['"id": ' + _str(fm.id), '"element": ' + _str(fm.element)]
+    members += ['"category": ' + _str(fm.category), '"description": ' + _str(fm.description)]
+    if fm.effects:
+        members.append('"effects": ' + _container([_effect(effect) for effect in fm.effects], 3, "[]"))
+    if fm.causes:
+        members.append('"causes": ' + _container([_cause(cause) for cause in fm.causes], 3, "[]"))
+    if fm.control is not None:
+        members.append('"control": ' + _control(fm.control))
+    return _container(members, 2, "{}")
+
+
+def _effect(effect: Effect) -> str:
+    members = ['"text": ' + _str(effect.text)]
+    if effect.severity_class is not None:
+        members.append('"severity_class": ' + _scalar(effect.severity_class))
+    if effect.severity_rank is not None:
+        members.append('"severity_rank": ' + _scalar(effect.severity_rank))
+    return _container(members, 4, "{}")
+
+
+def _cause(cause: Cause) -> str:
+    members = ['"text": ' + _str(cause.text)]
+    if cause.occurrence_rank is not None:
+        members.append('"occurrence_rank": ' + _scalar(cause.occurrence_rank))
+    if cause.frequency is not None:
+        pair = (_scalar(cause.frequency.numerator), _scalar(cause.frequency.denominator))
+        members.append('"frequency": ' + _container(pair, 5, "[]"))
+    return _container(members, 4, "{}")
+
+
+def _control(control: ControlPlan) -> str:
+    members = ['"method_class": ' + _str(control.method_class)]
+    if control.method_text is not None:
+        members.append('"method_text": ' + _scalar(control.method_text))
+    if control.detection_rank is not None:
+        members.append('"detection_rank": ' + _scalar(control.detection_rank))
+    return _container(members, 3, "{}")

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path as FsPath
 
 from .analysis import AnalysisResult, RpnRow, _prioritize
+from .io import _container, _scalar, _str
 from .model import DesignModel, Domain, element_text
 from .validation import ANALYSIS_READY, Finding, ValidationReport, _complete, _structural_errors
 
@@ -222,15 +222,17 @@ def _run_procedure(model: DesignModel, errors: list[Finding], propagate_detectio
 
 # ---------------------------------------------------------------------------
 # Emission. CSV quoting follows RFC 4180 (fields with commas, quotes, or
-# newlines are wrapped, embedded quotes doubled); every format ends with a
-# trailing newline.
+# newlines are wrapped, embedded quotes doubled); json is written row by row
+# with the model writer's helpers; every format ends with a trailing newline.
 
 #: One layout per artifact kind: its header, whose names are also the json
-#: row keys, and the row attributes, which the row dataclasses declare in
-#: header order.
+#: row keys; the row attributes, which the row dataclasses declare in header
+#: order; and each header name written once as a json member prefix.
 _LAYOUTS = {
-    FmeaDocument: (FMEA_CSV_HEADER, attrgetter(*(field.name for field in fields(FmeaRow)))),
-    PriorityReport: (PRIORITY_CSV_HEADER, attrgetter(*(field.name for field in fields(PriorityRow)))),
+    kind: (header, attrgetter(*(field.name for field in fields(row))), tuple(_str(name) + ": " for name in header))
+    for kind, header, row in (
+        (FmeaDocument, FMEA_CSV_HEADER, FmeaRow), (PriorityReport, PRIORITY_CSV_HEADER, PriorityRow)
+    )
 }
 
 
@@ -240,12 +242,12 @@ def _md_escape(cell: str) -> str:
 
 def _emit(artifact: PriorityReport | FmeaDocument, format: str, stamp: str | None) -> str:
     """Render any artifact in any format from its kind's layout."""
-    header, values = _LAYOUTS[type(artifact)]
+    header, values, keys = _LAYOUTS[type(artifact)]
     if format == "json":
-        payload = {"domain": artifact.domain.value, "rows": [dict(zip(header, values(row))) for row in artifact.rows]}
-        if stamp:
-            payload = {"provenance": stamp, **payload}
-        return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+        rows = [_container([k + _scalar(v) for k, v in zip(keys, values(row))], 2, "{}") for row in artifact.rows]
+        members = ['"provenance": ' + _scalar(stamp)] if stamp else []
+        members += ['"domain": ' + _str(artifact.domain.value), '"rows": ' + _container(rows, 1, "[]")]
+        return _container(members, 0, ("{", "}\n"))
     cell_rows = [["-" if value is None else str(value) for value in values(row)] for row in artifact.rows]
     if format == "csv":
         buffer = io.StringIO()

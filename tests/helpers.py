@@ -7,6 +7,7 @@ through seeds.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from riskforge import (
@@ -363,4 +364,58 @@ def with_random_extra_edge(model: DesignModel, rng: random.Random) -> DesignMode
         rf=model.rf + (edge,) if kind == "rf" else model.rf,
         fc=model.fc + (edge,) if kind == "fc" else model.fc,
         failure_modes=model.failure_modes,
+    )
+
+
+# Characters a JSON writer must escape or must leave alone: control
+# characters, quote, backslash, DEL, the JS line separators, non-BMP.
+PROSE_CHARS = (
+    "\x00", "\x01", "\x08", "\t", "\n", "\r", "\x1f", '"', "\\", "/", "\x7f",
+    "\u2028", "\u2029", "\U0001f600", "\U00010000", "\uffff", "\u00e9", "\u4e2d",
+    " ", "a", "Z", "0", "|", ",", ":", "{", "]",
+)
+
+
+def random_prose(rng: random.Random, nonempty: bool = False) -> str:
+    """Up to six characters from PROSE_CHARS; empty only when allowed."""
+    text = "".join(rng.choice(PROSE_CHARS) for _ in range(rng.randint(0, 6)))
+    return text + "x" if nonempty and not text.strip() else text
+
+
+def with_random_prose(model: DesignModel, rng: random.Random) -> DesignModel:
+    """The same design with every free-text field redrawn from PROSE_CHARS,
+    random flows on functions and random optional texts on components and
+    control plans. Ids, categories, classes and ratings are unchanged."""
+
+    def prose(nonempty: bool = False) -> str:
+        return random_prose(rng, nonempty)
+
+    def flows() -> tuple[Flow, ...]:
+        return tuple(Flow(prose(), rng.choice(("material", "energy", "information"))) for _ in range(rng.randint(0, 2)))
+
+    def optional() -> str | None:
+        return prose() if rng.random() < 0.5 else None
+
+    def failure_mode(fm: FailureMode) -> FailureMode:
+        control = fm.control
+        if control is not None:
+            control = dataclasses.replace(control, method_text=optional())
+        return dataclasses.replace(
+            fm,
+            description=prose(True),
+            effects=tuple(dataclasses.replace(e, text=prose(True)) for e in fm.effects),
+            causes=tuple(dataclasses.replace(c, text=prose(True)) for c in fm.causes),
+            control=control,
+        )
+
+    return dataclasses.replace(
+        model,
+        meta=Meta(product=prose(), version=prose()),
+        requirements=tuple(dataclasses.replace(r, text=prose(True)) for r in model.requirements),
+        functions=tuple(
+            dataclasses.replace(f, verb=prose(True), noun=prose(True), inputs=flows(), outputs=flows())
+            for f in model.functions
+        ),
+        components=tuple(dataclasses.replace(c, name=prose(True), concept=optional()) for c in model.components),
+        failure_modes=tuple(failure_mode(fm) for fm in model.failure_modes),
     )

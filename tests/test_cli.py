@@ -18,6 +18,8 @@ from riskforge import analysis, serialize_model, validation
 from riskforge.cli import main
 
 CAMERA_JSON = Path(__file__).resolve().parent.parent / "sample_models" / "camera.json"
+# camera.json with fm_photo's description holding an unpaired surrogate escape.
+LONE_SURROGATE_CAMERA = CAMERA_JSON.read_bytes().replace(b'"A user cannot take photos",', b'"\\ud800 lone",', 1)
 
 
 @pytest.fixture
@@ -86,6 +88,20 @@ class TestValidateCommand:
         path.write_bytes(b"\xef\xbb\xbf" + CAMERA_JSON.read_bytes())
         assert main(["validate", str(path)]) == 2
         assert f"error: {path}: line 1, column 1: " in capsys.readouterr().err
+
+    def test_unpaired_surrogate_is_a_parse_error(self, tmp_path, capsys):
+        # A lone surrogate has no UTF-8 form, so no output holding it could be written.
+        path = tmp_path / "lone.json"
+        path.write_bytes(LONE_SURROGATE_CAMERA)
+        expected = f"error: {path}: line 55, column 23: unpaired surrogate escape '\\ud800' [Syntax]\n"
+        for argv in (
+            ["validate", str(path)],
+            ["analyze", str(path), "--out", str(tmp_path / "out")],
+            ["analyze", str(path)],
+            ["trace", str(path), "--fm", "fm_photo", "--direction", "effects"],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == expected
 
 
 class TestAnalyzeCommand:
@@ -331,6 +347,7 @@ _DEPTH = sys.getrecursionlimit() + 1
 class TestExitCodeContract:
     @given(data=st.binary(max_size=256) | mutated_camera())
     @example(data=b"[" * _DEPTH + b"]" * _DEPTH)
+    @example(data=LONE_SURROGATE_CAMERA)
     @settings(max_examples=200, deadline=None)
     def test_every_input_exits_zero_one_or_two(self, data):
         with tempfile.TemporaryDirectory() as tmp:

@@ -10,11 +10,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_camera_model, random_model
-from riskforge import ParseFailure, parse_model, serialize_model
+from helpers import make_camera_model, permuted, random_model, with_random_prose
+from riskforge import (
+    Cause,
+    Component,
+    ControlPlan,
+    DesignModel,
+    Effect,
+    FailureMode,
+    Meta,
+    ParseFailure,
+    parse_model,
+    serialize_model,
+)
 from riskforge.io import _offset, _parse_fast, _parse_positioned, _Reader, _SyntaxFailure
 
 CAMERA_JSON = Path(__file__).resolve().parent.parent / "sample_models" / "camera.json"
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+
+import gen  # noqa: E402
 
 MINIMAL = """\
 {
@@ -118,6 +133,26 @@ class TestSyntaxErrors:
         # Valid JSON nested past where a recursive reader runs out of stack.
         text = CAMERA_JSON.read_text(encoding="utf-8").replace('"Smartphone"', "[" * depth + "]" * depth, 1)
         assert [str(e) for e in errors_of(text)] == ["line 3, column 16: meta.product: expected a string [Type]"]
+
+    @pytest.mark.parametrize(
+        "escape, column, half",
+        # Column 45 is the backslash after '"text": "do '.
+        [
+            ("\\ud800", 45, "\\ud800"),
+            ("\\uDFFF", 45, "\\uDFFF"),
+            ("\\ud800\\u0041", 45, "\\ud800"),
+            ("\\u0041\\udc00", 51, "\\udc00"),
+        ],
+    )
+    def test_unpaired_surrogate_escape(self, escape, column, half):
+        text = MINIMAL.replace("do the thing", f"do {escape} thing")
+        assert [str(e) for e in errors_of(text)] == [
+            f"line 3, column {column}: unpaired surrogate escape '{half}' [Syntax]"
+        ]
+
+    def test_surrogate_pair_escape_is_one_character(self):
+        model = parse_model(MINIMAL.replace("do the thing", "do \\ud83d\\ude00 thing"))
+        assert model.requirements[0].text == "do \U0001f600 thing"
 
     def test_integer_past_the_conversion_limit(self):
         text = MINIMAL.replace('"version": "1"', '"version": ' + "9" * 5000)
@@ -324,6 +359,63 @@ class TestSerialization:
             text = serialize_model(model)
             assert parse_model(text) == model
             assert serialize_model(parse_model(text)) == text
+
+
+class TestCanonicalWriter:
+    """The schema-driven writer gives the stdlib encoder's text, byte for byte."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_stdlib_encoder(self, seed):
+        rng = random.Random(seed)
+        model = with_random_prose(random_model(rng, connected=rng.random() < 0.5), rng)
+        for variant in (model, permuted(model, rng)):
+            out = serialize_model(variant)
+            assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n"
+            assert parse_model(out) == variant
+
+    def test_empty_model(self):
+        out = serialize_model(DesignModel(meta=Meta(product="", version="")))
+        assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n"
+        assert '"failure_modes": []' in out
+
+    def test_unchecked_scalars_keep_the_stdlib_form(self):
+        # Library-built values the parser would reject, in slots the
+        # constructors do not check.
+        fm = FailureMode(
+            "fm1",
+            "c1",
+            "Damaged",
+            "broken",
+            effects=(Effect("e", severity_class=False, severity_rank=True),),
+            causes=(Cause("c", occurrence_rank=3.5),),
+            control=ControlPlan("DesignAnalysis", method_text=1e100, detection_rank=-0.0),
+        )
+        model = DesignModel(meta=Meta("p", "1"), components=(Component("c1", "part", concept=True),), failure_modes=(fm,))
+        out = serialize_model(model)
+        for member in (
+            '"concept": true',
+            '"severity_class": false',
+            '"severity_rank": true',
+            '"occurrence_rank": 3.5',
+            '"method_text": 1e+100',
+            '"detection_rank": -0.0',
+        ):
+            assert member in out
+        assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n"
+
+    def test_a_container_in_a_scalar_slot_is_a_type_error(self):
+        model = DesignModel(meta=Meta("p", "1"), components=(Component("c1", "part", concept=["x"]),))
+        with pytest.raises(TypeError):
+            serialize_model(model)
+
+    @pytest.mark.parametrize("shape, seed", [("bulk", 1), ("bulk", 2), ("bulk", 3), ("star", 1)])
+    def test_bench_models_keep_their_bytes(self, shape, seed):
+        # The generator writes every optional field in README key order,
+        # through the stdlib encoder.
+        data, _ = gen.bulk_model(seed, n=60) if shape == "bulk" else gen.star_model(seed, degree=200)
+        text = gen.canonical(data)
+        assert serialize_model(parse_model(text)) == text
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_model
+from helpers import permuted, random_model, random_prose, with_random_prose
 from riskforge import (
     Cause,
     Component,
@@ -31,7 +33,7 @@ from riskforge import (
     run_procedure,
     write_bundle,
 )
-from riskforge.reports import FMEA_CSV_HEADER, build_fmea_document, emit_artifact
+from riskforge.reports import FMEA_CSV_HEADER, FmeaDocument, PriorityReport, build_fmea_document, emit_artifact
 
 CAMERA_JSON = Path(__file__).resolve().parent.parent / "sample_models" / "camera.json"
 
@@ -187,6 +189,25 @@ class TestOtherFormats:
             rows = json.loads(emit_artifact(name, artifact, "json"))["rows"]
             assert rows, name
             assert all(list(row) == header for row in rows), name
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_json_matches_the_stdlib_encoder(self, seed):
+        rng = random.Random(seed)
+        model = with_random_prose(random_model(rng, connected=True), rng)
+        stamp = random_prose(rng, nonempty=True)
+        for variant in (model, permuted(model, rng)):
+            for name, artifact in run_procedure(variant).documents():
+                for out in (emit_artifact(name, artifact, "json"), emit_artifact(name, artifact, "json", stamp)):
+                    assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n"
+
+    @pytest.mark.parametrize("stamp", [None, "generated \"here\" \\ \u2028 \U0001f600"])
+    def test_json_of_a_domain_without_rows(self, stamp):
+        for artifact in (FmeaDocument(Domain.FUNCTION, ()), PriorityReport(Domain.REQUIREMENT, ())):
+            out = emit_artifact("empty", artifact, "json", stamp)
+            assert '"rows": []' in out
+            assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n"
+            assert list(json.loads(out)) == (["provenance"] if stamp else []) + ["domain", "rows"]
 
     def test_unknown_format_rejected(self, camera_model):
         bundle = run_procedure(camera_model)
