@@ -705,16 +705,33 @@ def _walk_failure_mode(w: _Walker, value: object, path: Path) -> FailureMode | N
 
 
 # ---------------------------------------------------------------------------
-# Canonical serialization: one writer per shape, each at its fixed depth.
+# Canonical serialization: one writer per shape, each at its fixed depth. The
+# writers append short pieces to one list, joined once, so that a document
+# builds no container string only to copy it into its parent and drop it.
+
+#: A newline and the indent of each depth the canonical form reaches.
+_INDENT = tuple("\n" + "  " * depth for depth in range(7))
 
 
-def _container(items: list[str] | tuple[str, ...], depth: int, brackets: str | tuple[str, str]) -> str:
-    """An array or object (``brackets`` "[]" or "{}") at ``depth``; ``("{", "}\\n")`` ends a document in one copy."""
-    if not items:
-        return brackets[0] + brackets[1]
-    outer = "\n" + "  " * depth
-    inner = outer + "  "
-    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{outer}{brackets[1]}"
+def _array(out: list[str], items: tuple | list, write, depth: int) -> None:
+    """Append an array at ``depth`` whose items ``write(out, item)`` appends one level deeper."""
+    separator = "[" + _INDENT[depth + 1]
+    for item in items:
+        out.append(separator)
+        write(out, item)
+        separator = "," + _INDENT[depth + 1]
+    out.append(_INDENT[depth] + "]" if items else "[]")
+
+
+def _object(out: list[str], members: list[str], depth: int, arrays: tuple = (), last: str | None = None) -> None:
+    """Append an object at ``depth``: members, each non-empty ``(key, items, write)`` array, then ``last``."""
+    inner = _INDENT[depth + 1]
+    out.append("{" + inner + ("," + inner).join(members))
+    for key, items, write in arrays:
+        if items:
+            out.append(f",{inner}{key}: ")
+            _array(out, items, write, depth + 1)
+    out.append((f",{inner}{last}" if last else "") + _INDENT[depth] + "}")
 
 
 def _scalar(value: object) -> str:
@@ -732,75 +749,64 @@ def _scalar(value: object) -> str:
 
 def serialize_model(model: DesignModel) -> str:
     """Render a model in canonical form; identical models give identical bytes."""
-    meta = ('"product": ' + _str(model.meta.product), '"version": ' + _str(model.meta.version))
-    members = (
-        '"meta": ' + _container(meta, 1, "{}"),
-        '"requirements": ' + _container([_requirement(r) for r in model.requirements], 1, "[]"),
-        '"functions": ' + _container([_function(f) for f in model.functions], 1, "[]"),
-        '"components": ' + _container([_component(c) for c in model.components], 1, "[]"),
-        '"rf": ' + _container([_edge(e) for e in model.rf], 1, "[]"),
-        '"fc": ' + _container([_edge(e) for e in model.fc], 1, "[]"),
-        '"failure_modes": ' + _container([_failure_mode(fm) for fm in model.failure_modes], 1, "[]"),
-    )
-    return _container(members, 0, ("{", "}\n"))
+    out = ['{\n  "meta": ']
+    _object(out, ['"product": ' + _str(model.meta.product), '"version": ' + _str(model.meta.version)], 1)
+    writers = (("requirements", _requirement), ("functions", _function), ("components", _component))
+    for key, write in writers + (("rf", _edge), ("fc", _edge), ("failure_modes", _failure_mode)):
+        out.append(f',\n  "{key}": ')
+        _array(out, getattr(model, key), write, 1)
+    out.append("\n}\n")
+    return "".join(out)
 
 
-def _requirement(requirement: Requirement) -> str:
-    return _container(('"id": ' + _str(requirement.id), '"text": ' + _str(requirement.text)), 2, "{}")
+def _requirement(out: list[str], requirement: Requirement) -> None:
+    _object(out, ['"id": ' + _str(requirement.id), '"text": ' + _str(requirement.text)], 2)
 
 
-def _edge(edge: MappingEdge) -> str:
-    return f"[\n      {_str(edge.source)},\n      {_str(edge.target)}\n    ]"
+def _edge(out: list[str], edge: MappingEdge) -> None:
+    out.append(f"[\n      {_str(edge.source)},\n      {_str(edge.target)}\n    ]")
 
 
-def _function(function: Function) -> str:
+def _function(out: list[str], function: Function) -> None:
     members = ['"id": ' + _str(function.id), '"verb": ' + _str(function.verb), '"noun": ' + _str(function.noun)]
-    for key, flows in (('"inputs": ', function.inputs), ('"outputs": ', function.outputs)):
-        if flows:
-            items = [
-                _container(('"description": ' + _str(flow.description), '"kind": ' + _str(flow.kind)), 4, "{}")
-                for flow in flows
-            ]
-            members.append(key + _container(items, 3, "[]"))
-    return _container(members, 2, "{}")
+    _object(out, members, 2, (('"inputs"', function.inputs, _flow), ('"outputs"', function.outputs, _flow)))
 
 
-def _component(component: Component) -> str:
+def _flow(out: list[str], flow: Flow) -> None:
+    _object(out, ['"description": ' + _str(flow.description), '"kind": ' + _str(flow.kind)], 4)
+
+
+def _component(out: list[str], component: Component) -> None:
     members = ['"id": ' + _str(component.id), '"name": ' + _str(component.name)]
     if component.concept is not None:
         members.append('"concept": ' + _scalar(component.concept))
-    return _container(members, 2, "{}")
+    _object(out, members, 2)
 
 
-def _failure_mode(fm: FailureMode) -> str:
+def _failure_mode(out: list[str], fm: FailureMode) -> None:
     members = ['"id": ' + _str(fm.id), '"element": ' + _str(fm.element)]
     members += ['"category": ' + _str(fm.category), '"description": ' + _str(fm.description)]
-    if fm.effects:
-        members.append('"effects": ' + _container([_effect(effect) for effect in fm.effects], 3, "[]"))
-    if fm.causes:
-        members.append('"causes": ' + _container([_cause(cause) for cause in fm.causes], 3, "[]"))
-    if fm.control is not None:
-        members.append('"control": ' + _control(fm.control))
-    return _container(members, 2, "{}")
+    control = '"control": ' + _control(fm.control) if fm.control is not None else None
+    _object(out, members, 2, (('"effects"', fm.effects, _effect), ('"causes"', fm.causes, _cause)), control)
 
 
-def _effect(effect: Effect) -> str:
+def _effect(out: list[str], effect: Effect) -> None:
     members = ['"text": ' + _str(effect.text)]
     if effect.severity_class is not None:
         members.append('"severity_class": ' + _scalar(effect.severity_class))
     if effect.severity_rank is not None:
         members.append('"severity_rank": ' + _scalar(effect.severity_rank))
-    return _container(members, 4, "{}")
+    _object(out, members, 4)
 
 
-def _cause(cause: Cause) -> str:
+def _cause(out: list[str], cause: Cause) -> None:
     members = ['"text": ' + _str(cause.text)]
     if cause.occurrence_rank is not None:
         members.append('"occurrence_rank": ' + _scalar(cause.occurrence_rank))
     if cause.frequency is not None:
-        pair = (_scalar(cause.frequency.numerator), _scalar(cause.frequency.denominator))
-        members.append('"frequency": ' + _container(pair, 5, "[]"))
-    return _container(members, 4, "{}")
+        numerator, denominator = _scalar(cause.frequency.numerator), _scalar(cause.frequency.denominator)
+        members.append(f'"frequency": [\n            {numerator},\n            {denominator}\n          ]')
+    _object(out, members, 4)
 
 
 def _control(control: ControlPlan) -> str:
@@ -809,4 +815,4 @@ def _control(control: ControlPlan) -> str:
         members.append('"method_text": ' + _scalar(control.method_text))
     if control.detection_rank is not None:
         members.append('"detection_rank": ' + _scalar(control.detection_rank))
-    return _container(members, 3, "{}")
+    return "{" + _INDENT[4] + ("," + _INDENT[4]).join(members) + _INDENT[3] + "}"

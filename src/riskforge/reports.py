@@ -14,11 +14,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, fields
+from functools import partial
 from operator import attrgetter
 from pathlib import Path as FsPath
 
 from .analysis import AnalysisResult, RpnRow, _prioritize
-from .io import _container, _scalar, _str
+from .io import _array, _object, _scalar, _str
 from .model import DesignModel, Domain, element_text
 from .validation import ANALYSIS_READY, Finding, ValidationReport, _complete, _structural_errors
 
@@ -244,10 +245,12 @@ def _emit(artifact: PriorityReport | FmeaDocument, format: str, stamp: str | Non
     """Render any artifact in any format from its kind's layout."""
     header, values, keys = _LAYOUTS[type(artifact)]
     if format == "json":
-        rows = [_container([k + _scalar(v) for k, v in zip(keys, values(row))], 2, "{}") for row in artifact.rows]
         members = ['"provenance": ' + _scalar(stamp)] if stamp else []
-        members += ['"domain": ' + _str(artifact.domain.value), '"rows": ' + _container(rows, 1, "[]")]
-        return _container(members, 0, ("{", "}\n"))
+        out = ["{\n  " + ",\n  ".join([*members, '"domain": ' + _str(artifact.domain.value), '"rows": '])]
+        rows = [[key + _scalar(value) for key, value in zip(keys, values(row))] for row in artifact.rows]
+        _array(out, rows, partial(_object, depth=2), 1)
+        out.append("\n}\n")
+        return "".join(out)
     cell_rows = [["-" if value is None else str(value) for value in values(row)] for row in artifact.rows]
     if format == "csv":
         buffer = io.StringIO()
