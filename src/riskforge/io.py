@@ -10,11 +10,17 @@ sound model.
 Parsing takes one of two paths through a single schema walker. The
 stdlib decoder reads the document, the walker builds the model and
 structural validation checks it; a sound document gets no position
-computed at all. A document that fails any of those steps, or escapes a
-surrogate, is read again by a position-tracking reader, which reports
-syntax errors and duplicate keys itself, and walked again; each problem,
-kept as a model path, is then resolved against the reader's tree to a
-line and column.
+computed at all. A document that fails any of those steps, or holds a
+surrogate, escaped or raw, is read again by a position-tracking reader,
+which reports syntax errors and duplicate keys itself, and walked again;
+each problem, kept as a model path, is then resolved against the
+reader's tree to a line and column.
+
+The walker checks the document's shape: objects and their keys, arrays,
+pairs, and the types of the few slots the model leaves unchecked. Every
+value rule (id charset, non-blank prose, flow kinds, control classes,
+positive frequencies) is the model constructors'; the walker builds each
+record through its constructor and reports what that rejects.
 
 Serialization writes what ``json.dumps(data, indent=2, ensure_ascii=False)``
 gives for the model's plain form (fixed key order, LF endings, trailing
@@ -32,21 +38,19 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring as _str
 
 from .model import (
-    CONTROL_METHOD_CLASSES,
     Cause,
     Component,
     ControlPlan,
     DesignModel,
     Effect,
-    ELEMENT_ID_RE,
     FailureMode,
     Flow,
-    FLOW_KINDS,
     Frequency,
     Function,
     MappingEdge,
     Meta,
     Requirement,
+    _FieldError,
 )
 from .validation import Path, _structural_errors, render_path
 
@@ -106,15 +110,22 @@ def _reject_constant(name: str) -> None:
     raise ValueError(f"{name} is not a JSON number")
 
 
+# One decoder for every call, as json.loads keeps one for its defaults: a
+# decoder built per call leaves memory behind.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_object, parse_constant=_reject_constant)
+
+
 def _parse_fast(text: str) -> DesignModel | None:
-    """The model, or None when the document has any problem at all or escapes a surrogate."""
+    """The model, or None when the document has any problem at all or holds a surrogate."""
     if _SURROGATE_ESCAPE.search(text):
         return None
     try:
-        data = json.loads(text, object_pairs_hook=_unique_object, parse_constant=_reject_constant)
+        text.encode()
+        data = _DECODER.decode(text)
     except (ValueError, RecursionError):
-        # Malformed JSON, NaN or Infinity, a duplicate key, an integer too
-        # long to convert, or nesting deeper than the interpreter's stack.
+        # A raw surrogate (no UTF-8 form), malformed JSON, NaN or Infinity,
+        # a duplicate key, an integer too long to convert, or nesting deeper
+        # than the interpreter's stack.
         return None
     model = _walk_model(_Walker(), data)
     if model is None or _structural_errors(model):
@@ -193,8 +204,8 @@ class _SyntaxFailure(Exception):
 _ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
 # A run of string characters that need no attention: not a quote, a
-# backslash or a control character.
-_PLAIN_RUN = re.compile(r'[^"\\\x00-\x1f]*')
+# backslash, a control character or a raw surrogate.
+_PLAIN_RUN = re.compile(r'[^"\\\x00-\x1f\ud800-\udfff]*')
 # An escaped surrogate: only this reader tells a pair from a lone half.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
@@ -335,6 +346,13 @@ class _Reader:
             if ch == '"':
                 self.pos += 1
                 return _Node("".join(pieces), start)
+            if "\ud800" <= ch <= "\udfff":
+                # Recoverable, like a lone surrogate escape: no UTF-8 form.
+                message = f"unpaired surrogate character '\\u{ord(ch):04x}'"
+                self.errors.append(ParseError(*self.location(end), "Syntax", message))
+                pieces.append(ch)
+                self.pos += 1
+                continue
             if ch != "\\":
                 self.fail("unescaped control character in string")
             pieces.append(self._parse_escape())
@@ -436,10 +454,12 @@ _FAILURE_MODE = _schema(("id", "element", "category", "description"), ("effects"
 
 
 class _Walker:
-    """Checks plain values against the schema and collects the problems.
+    """Checks the document's shape and builds each record through its constructor.
 
-    Scalars are read as ``container[key]`` under the container's path, so
-    the scalar's own path is built only when it has a problem.
+    Besides shape, it checks only the types of ``concept``,
+    ``severity_class``, ``method_text`` and the ranks, which no
+    constructor checks. A scalar's own path is built only when it has a
+    problem.
     """
 
     def __init__(self) -> None:
@@ -470,29 +490,28 @@ class _Walker:
             return None
         return value
 
-    def string(self, container, key: str | int, path: Path, nonempty: bool = False) -> str | None:
+    def string(self, container, key: str, path: Path) -> str | None:
         value = container[key]
         if not isinstance(value, str):
             self.fail(path + (key,), "Type", "expected a string")
             return None
-        if nonempty and not value.strip():
-            self.fail(path + (key,), "EmptyText", "must not be empty")
-            return None
         return value
 
-    def token(self, container, key: str | int, path: Path) -> str | None:
-        value = self.string(container, key, path)
-        if value is not None and not ELEMENT_ID_RE.match(value):
-            self.fail(path + (key,), "InvalidId", f"ids use letters, digits, '_' and '-' only, got {value!r}")
-            return None
-        return value
-
-    def integer(self, container, key: str | int, path: Path) -> int | None:
+    def integer(self, container, key: str, path: Path) -> int | None:
         value = container[key]
         if isinstance(value, bool) or not isinstance(value, int):
             self.fail(path + (key,), "Type", "expected an integer")
             return None
         return value
+
+    def build(self, cls, path: Path, *values):
+        """``cls(*values)``, or None after filing each problem the constructor reports."""
+        try:
+            return cls(*values)
+        except _FieldError as exc:
+            for field, code, detail in exc.problems:
+                self.fail(path if field is None else path + (field,), code, detail)
+            return None
 
 
 def _walk_model(w: _Walker, data: object) -> DesignModel | None:
@@ -504,21 +523,13 @@ def _walk_model(w: _Walker, data: object) -> DesignModel | None:
     requirements = _walk_list(w, top, "requirements", (), _walk_requirement)
     functions = _walk_list(w, top, "functions", (), _walk_function)
     components = _walk_list(w, top, "components", (), _walk_component)
-    rf = _walk_edges(w, top, "rf")
-    fc = _walk_edges(w, top, "fc")
+    rf = _walk_list(w, top, "rf", (), _walk_edge)
+    fc = _walk_list(w, top, "fc", (), _walk_edge)
     failure_modes = _walk_list(w, top, "failure_modes", (), _walk_failure_mode)
 
     if w.problems or meta is None:
         return None
-    return DesignModel(
-        meta=meta,
-        requirements=tuple(requirements),
-        functions=tuple(functions),
-        components=tuple(components),
-        rf=tuple(rf),
-        fc=tuple(fc),
-        failure_modes=tuple(failure_modes),
-    )
+    return DesignModel(meta, requirements, functions, components, rf, fc, failure_modes)
 
 
 def _walk_list(w: _Walker, container: dict, key: str, path: Path, walk_item) -> list:
@@ -538,170 +549,94 @@ def _walk_meta(w: _Walker, value: object, path: Path) -> Meta | None:
     fields = w.obj(value, path, _META)
     if fields is None:
         return None
-    product = w.string(fields, "product", path)
-    version = w.string(fields, "version", path)
-    if product is None or version is None:
-        return None
-    return Meta(product=product, version=version)
+    return w.build(Meta, path, fields["product"], fields["version"])
 
 
 def _walk_requirement(w: _Walker, value: object, path: Path) -> Requirement | None:
     fields = w.obj(value, path, _REQUIREMENT)
     if fields is None:
         return None
-    rid = w.token(fields, "id", path)
-    text = w.string(fields, "text", path, nonempty=True)
-    if rid is None or text is None:
-        return None
-    return Requirement(id=rid, text=text)
+    return w.build(Requirement, path, fields["id"], fields["text"])
 
 
 def _walk_flow(w: _Walker, value: object, path: Path) -> Flow | None:
     fields = w.obj(value, path, _FLOW)
     if fields is None:
         return None
-    description = w.string(fields, "description", path)
-    kind = w.string(fields, "kind", path)
-    if kind is not None and kind not in FLOW_KINDS:
-        w.fail(path + ("kind",), "InvalidValue", f"flow kind must be one of {', '.join(FLOW_KINDS)}")
-        kind = None
-    if description is None or kind is None:
-        return None
-    return Flow(description=description, kind=kind)
+    return w.build(Flow, path, fields["description"], fields["kind"])
 
 
 def _walk_function(w: _Walker, value: object, path: Path) -> Function | None:
     fields = w.obj(value, path, _FUNCTION)
     if fields is None:
         return None
-    fid = w.token(fields, "id", path)
-    verb = w.string(fields, "verb", path, nonempty=True)
-    noun = w.string(fields, "noun", path, nonempty=True)
-    inputs = _walk_list(w, fields, "inputs", path, _walk_flow) if "inputs" in fields else []
-    outputs = _walk_list(w, fields, "outputs", path, _walk_flow) if "outputs" in fields else []
-    if fid is None or verb is None or noun is None:
-        return None
-    return Function(id=fid, verb=verb, noun=noun, inputs=tuple(inputs), outputs=tuple(outputs))
+    inputs = _walk_list(w, fields, "inputs", path, _walk_flow) if "inputs" in fields else ()
+    outputs = _walk_list(w, fields, "outputs", path, _walk_flow) if "outputs" in fields else ()
+    return w.build(Function, path, fields["id"], fields["verb"], fields["noun"], inputs, outputs)
 
 
 def _walk_component(w: _Walker, value: object, path: Path) -> Component | None:
     fields = w.obj(value, path, _COMPONENT)
     if fields is None:
         return None
-    cid = w.token(fields, "id", path)
-    name = w.string(fields, "name", path, nonempty=True)
     concept = w.string(fields, "concept", path) if "concept" in fields else None
-    if cid is None or name is None:
+    return w.build(Component, path, fields["id"], fields["name"], concept)
+
+
+def _walk_edge(w: _Walker, value: object, path: Path) -> MappingEdge | None:
+    return _walk_pair(w, value, path, MappingEdge, "an edge is a [source_id, target_id] pair")
+
+
+def _walk_pair(w: _Walker, value: object, path: Path, cls, shape: str):
+    """``cls`` built from a two-item array; ``shape`` says what the pair is."""
+    pair = w.array(value, path)
+    if pair is None:
         return None
-    return Component(id=cid, name=name, concept=concept)
-
-
-def _walk_edges(w: _Walker, top: dict, key: str) -> list[MappingEdge]:
-    path = (key,)
-    pairs = w.array(top[key], path)
-    if pairs is None:
-        return []
-    edges: list[MappingEdge] = []
-    for index, value in enumerate(pairs):
-        edge_path = path + (index,)
-        pair = w.array(value, edge_path)
-        if pair is None:
-            continue
-        if len(pair) != 2:
-            w.fail(edge_path, "InvalidValue", "an edge is a [source_id, target_id] pair")
-            continue
-        source = w.token(pair, 0, edge_path)
-        target = w.token(pair, 1, edge_path)
-        if source is None or target is None:
-            continue
-        edges.append(MappingEdge(source=source, target=target))
-    return edges
+    if len(pair) != 2:
+        w.fail(path, "InvalidValue", shape)
+        return None
+    return w.build(cls, path, *pair)
 
 
 def _walk_effect(w: _Walker, value: object, path: Path) -> Effect | None:
     fields = w.obj(value, path, _EFFECT)
     if fields is None:
         return None
-    text = w.string(fields, "text", path, nonempty=True)
     severity_class = w.string(fields, "severity_class", path) if "severity_class" in fields else None
     severity_rank = w.integer(fields, "severity_rank", path) if "severity_rank" in fields else None
-    if text is None:
-        return None
-    return Effect(text=text, severity_class=severity_class, severity_rank=severity_rank)
+    return w.build(Effect, path, fields["text"], severity_class, severity_rank)
 
 
 def _walk_cause(w: _Walker, value: object, path: Path) -> Cause | None:
     fields = w.obj(value, path, _CAUSE)
     if fields is None:
         return None
-    text = w.string(fields, "text", path, nonempty=True)
     occurrence_rank = w.integer(fields, "occurrence_rank", path) if "occurrence_rank" in fields else None
     frequency = None
     if "frequency" in fields:
-        frequency = _walk_frequency(w, fields["frequency"], path + ("frequency",))
-    if text is None:
-        return None
-    return Cause(text=text, occurrence_rank=occurrence_rank, frequency=frequency)
-
-
-def _walk_frequency(w: _Walker, value: object, path: Path) -> Frequency | None:
-    pair = w.array(value, path)
-    if pair is None:
-        return None
-    if len(pair) != 2:
-        w.fail(path, "InvalidValue", "a frequency is a [failures, opportunities] pair")
-        return None
-    numerator = w.integer(pair, 0, path)
-    denominator = w.integer(pair, 1, path)
-    if numerator is None or denominator is None:
-        return None
-    if numerator < 1 or denominator < 1:
-        w.fail(path, "InvalidValue", "frequency integers must be positive")
-        return None
-    return Frequency(numerator=numerator, denominator=denominator)
+        shape = "a frequency is a [failures, opportunities] pair"
+        frequency = _walk_pair(w, fields["frequency"], path + ("frequency",), Frequency, shape)
+    return w.build(Cause, path, fields["text"], occurrence_rank, frequency)
 
 
 def _walk_control(w: _Walker, value: object, path: Path) -> ControlPlan | None:
     fields = w.obj(value, path, _CONTROL)
     if fields is None:
         return None
-    method_class = w.string(fields, "method_class", path)
-    if method_class is not None and method_class not in CONTROL_METHOD_CLASSES:
-        w.fail(
-            path + ("method_class",),
-            "InvalidValue",
-            f"control method class must be one of {', '.join(CONTROL_METHOD_CLASSES)}",
-        )
-        method_class = None
     method_text = w.string(fields, "method_text", path) if "method_text" in fields else None
     detection_rank = w.integer(fields, "detection_rank", path) if "detection_rank" in fields else None
-    if method_class is None:
-        return None
-    return ControlPlan(method_class=method_class, method_text=method_text, detection_rank=detection_rank)
+    return w.build(ControlPlan, path, fields["method_class"], method_text, detection_rank)
 
 
 def _walk_failure_mode(w: _Walker, value: object, path: Path) -> FailureMode | None:
     fields = w.obj(value, path, _FAILURE_MODE)
     if fields is None:
         return None
-    fm_id = w.token(fields, "id", path)
-    element = w.token(fields, "element", path)
-    category = w.string(fields, "category", path, nonempty=True)
-    description = w.string(fields, "description", path, nonempty=True)
-    effects = _walk_list(w, fields, "effects", path, _walk_effect) if "effects" in fields else []
-    causes = _walk_list(w, fields, "causes", path, _walk_cause) if "causes" in fields else []
+    effects = _walk_list(w, fields, "effects", path, _walk_effect) if "effects" in fields else ()
+    causes = _walk_list(w, fields, "causes", path, _walk_cause) if "causes" in fields else ()
     control = _walk_control(w, fields["control"], path + ("control",)) if "control" in fields else None
-    if fm_id is None or element is None or category is None or description is None:
-        return None
-    return FailureMode(
-        id=fm_id,
-        element=element,
-        category=category,
-        description=description,
-        causes=tuple(causes),
-        effects=tuple(effects),
-        control=control,
-    )
+    head = fields["id"], fields["element"], fields["category"], fields["description"]
+    return w.build(FailureMode, path, *head, causes, effects, control)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,10 @@ components), two binary mappings between adjacent classes (rf: requirement
 to function, fc: function to component), and a set of failure modes, each
 owned by exactly one element. All types are immutable values; nothing here
 mutates a model after construction.
+
+Each constructor holds the only copy of its fields' value rules (id
+charset, non-blank prose, closed vocabularies, positive frequencies) and
+reports every bad field at once; the parser builds records through them.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ class Domain(str, Enum):
 
 
 # Ids are analyst-chosen tokens, not positional indices, so that references
-# stay stable when a model is edited.
-ELEMENT_ID_RE = re.compile(r"^[A-Za-z0-9_-]+$")
+# stay stable when a model is edited: ASCII letters, digits, '_' and '-'.
+# \Z, unlike $, does not match before a final newline.
+ELEMENT_ID_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
 
 FLOW_KINDS = ("material", "energy", "information")
 
@@ -101,19 +106,54 @@ def is_valid_rank(value: object) -> bool:
     )
 
 
-def _require_id(value: object, what: str) -> str:
-    if not isinstance(value, str) or not ELEMENT_ID_RE.match(value):
-        raise ValueError(
-            f"{what} must be a non-empty token of letters, digits, '_' or '-',"
-            f" got {value!r}"
-        )
-    return value
+class _FieldError(ValueError):
+    """Every bad field of one value, as ``(field, code, detail)`` triples.
+
+    ``field`` is the field's key in the model file (``0`` or ``1`` for a
+    half of an edge or a frequency), or None for the whole value. The
+    parser files each triple under the value's path as a parse error with
+    that code and detail.
+    """
+
+    def __init__(self, owner: str, problems: list[tuple[str | int | None, str, str]]) -> None:
+        self.problems = problems
+        where = ((owner if field is None else f"{owner}[{field!r}]", detail) for field, _, detail in problems)
+        super().__init__("; ".join(f"{at}: {detail}" for at, detail in where))
 
 
-def _require_text(value: object, what: str) -> str:
-    if not isinstance(value, str) or not value.strip():
-        raise ValueError(f"{what} must be non-empty prose, got {value!r}")
-    return value
+def _check(value: object, *problems: tuple | None) -> None:
+    """Raise one _FieldError for ``value`` naming each problem that is not None."""
+    if any(problems):
+        raise _FieldError(type(value).__name__, [problem for problem in problems if problem])
+
+
+def _string(field: str, value: object) -> tuple | None:
+    return None if isinstance(value, str) else (field, "Type", "expected a string")
+
+
+def _id(field: str | int, value: object) -> tuple | None:
+    if isinstance(value, str) and ELEMENT_ID_RE.match(value):
+        return None
+    return _string(field, value) or (field, "InvalidId", f"ids use letters, digits, '_' and '-' only, got {value!r}")
+
+
+def _text(field: str, value: object) -> tuple | None:
+    """Prose: a string with at least one non-blank character."""
+    if isinstance(value, str) and value.strip():
+        return None
+    return _string(field, value) or (field, "EmptyText", "must not be empty")
+
+
+def _choice(field: str, value: object, allowed: tuple[str, ...], what: str) -> tuple | None:
+    if isinstance(value, str) and value in allowed:
+        return None
+    return _string(field, value) or (field, "InvalidValue", f"{what} must be one of {', '.join(allowed)}")
+
+
+def _integer(field: int, value: object) -> tuple | None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        return field, "Type", "expected an integer"
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,8 +164,7 @@ class Meta:
     version: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.product, str) or not isinstance(self.version, str):
-            raise ValueError("meta product and version must be strings")
+        _check(self, _string("product", self.product), _string("version", self.version))
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,8 +175,7 @@ class Requirement:
     text: str
 
     def __post_init__(self) -> None:
-        _require_id(self.id, "requirement id")
-        _require_text(self.text, "requirement text")
+        _check(self, _id("id", self.id), _text("text", self.text))
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,12 +186,7 @@ class Flow:
     kind: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.description, str):
-            raise ValueError("flow description must be a string")
-        if self.kind not in FLOW_KINDS:
-            raise ValueError(
-                f"flow kind must be one of {FLOW_KINDS}, got {self.kind!r}"
-            )
+        _check(self, _string("description", self.description), _choice("kind", self.kind, FLOW_KINDS, "flow kind"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,9 +200,7 @@ class Function:
     outputs: tuple[Flow, ...] = ()
 
     def __post_init__(self) -> None:
-        _require_id(self.id, "function id")
-        _require_text(self.verb, "function verb")
-        _require_text(self.noun, "function noun")
+        _check(self, _id("id", self.id), _text("verb", self.verb), _text("noun", self.noun))
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", tuple(self.outputs))
 
@@ -187,8 +218,7 @@ class Component:
     concept: str | None = None
 
     def __post_init__(self) -> None:
-        _require_id(self.id, "component id")
-        _require_text(self.name, "component name")
+        _check(self, _id("id", self.id), _text("name", self.name))
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,8 +229,7 @@ class MappingEdge:
     target: str
 
     def __post_init__(self) -> None:
-        _require_id(self.source, "edge source")
-        _require_id(self.target, "edge target")
+        _check(self, _id(0, self.source), _id(1, self.target))
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,10 +245,9 @@ class Frequency:
     denominator: int
 
     def __post_init__(self) -> None:
-        for name in ("numerator", "denominator"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"frequency {name} must be a positive integer")
+        _check(self, _integer(0, self.numerator), _integer(1, self.denominator))
+        if self.numerator < 1 or self.denominator < 1:
+            _check(self, (None, "InvalidValue", "frequency integers must be positive"))
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
@@ -237,7 +265,7 @@ class Cause:
     frequency: Frequency | None = None
 
     def __post_init__(self) -> None:
-        _require_text(self.text, "cause text")
+        _check(self, _text("text", self.text))
 
 
 @dataclass(frozen=True, slots=True)
@@ -249,7 +277,7 @@ class Effect:
     severity_rank: int | None = None
 
     def __post_init__(self) -> None:
-        _require_text(self.text, "effect text")
+        _check(self, _text("text", self.text))
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,11 +289,7 @@ class ControlPlan:
     detection_rank: int | None = None
 
     def __post_init__(self) -> None:
-        if self.method_class not in CONTROL_METHOD_CLASSES:
-            raise ValueError(
-                f"control method class must be one of {CONTROL_METHOD_CLASSES},"
-                f" got {self.method_class!r}"
-            )
+        _check(self, _choice("method_class", self.method_class, CONTROL_METHOD_CLASSES, "control method class"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,11 +305,8 @@ class FailureMode:
     control: ControlPlan | None = None
 
     def __post_init__(self) -> None:
-        _require_id(self.id, "failure mode id")
-        _require_id(self.element, "failure mode element reference")
-        if not isinstance(self.category, str) or not self.category:
-            raise ValueError("failure mode category must be a non-empty token")
-        _require_text(self.description, "failure mode description")
+        ids = _id("id", self.id), _id("element", self.element)
+        _check(self, *ids, _text("category", self.category), _text("description", self.description))
         object.__setattr__(self, "causes", tuple(self.causes))
         object.__setattr__(self, "effects", tuple(self.effects))
 

@@ -150,6 +150,16 @@ class TestSyntaxErrors:
             f"line 3, column {column}: unpaired surrogate escape '{half}' [Syntax]"
         ]
 
+    @pytest.mark.parametrize("half", ["\ud800", "\udc80"])
+    def test_raw_surrogate_character(self, half):
+        # A str decoded with errors="surrogateescape" can hold one; it has no
+        # UTF-8 form, so the writers could not write it back.
+        text = MINIMAL.replace("do the thing", f"do {half} thing")
+        assert _parse_fast(text) is None
+        assert [str(e) for e in errors_of(text)] == [
+            f"line 3, column 45: unpaired surrogate character '\\u{ord(half):04x}' [Syntax]"
+        ]
+
     def test_surrogate_pair_escape_is_one_character(self):
         model = parse_model(MINIMAL.replace("do the thing", "do \\ud83d\\ude00 thing"))
         assert model.requirements[0].text == "do \U0001f600 thing"
@@ -205,6 +215,12 @@ class TestSchemaErrors:
         codes = [e.code for e in errors_of(json.dumps(data))]
         assert "InvalidId" in codes
 
+    def test_id_with_a_trailing_newline(self):
+        text = MINIMAL.replace('"id": "c1"', '"id": "c1\\n"')
+        assert [str(e) for e in errors_of(text)] == [
+            "line 5, column 25: components[0].id: ids use letters, digits, '_' and '-' only, got 'c1\\n' [InvalidId]"
+        ]
+
     def test_bad_flow_kind(self):
         data = json.loads(MINIMAL)
         data["functions"][0]["inputs"] = [{"description": "x", "kind": "data"}]
@@ -245,6 +261,13 @@ class TestSchemaErrors:
         data["components"][0]["name"] = ""
         errors = errors_of(json.dumps(data))
         assert len(errors) >= 2
+
+    def test_every_bad_field_of_one_record_is_reported(self):
+        text = MINIMAL.replace('"id": "r1", "text": "do the thing"', '"id": "r 1", "text": "  "')
+        assert [str(e) for e in errors_of(text)] == [
+            "line 3, column 27: requirements[0].id: ids use letters, digits, '_' and '-' only, got 'r 1' [InvalidId]",
+            "line 3, column 42: requirements[0].text: must not be empty [EmptyText]",
+        ]
 
     def test_non_object_root(self):
         assert errors_of("[1, 2]")[0].code == "Type"

@@ -93,13 +93,29 @@ class TestConstructionRules:
         with pytest.raises(ValueError):
             Requirement("r1", "   ")
 
-    @pytest.mark.parametrize("bad_id", ["", "has space", "semi;colon", "a.b", None, 7])
+    @pytest.mark.parametrize("bad_id", ["", "has space", "semi;colon", "a.b", None, 7, "r1\n"])
     def test_bad_id_tokens_rejected(self, bad_id):
         with pytest.raises(ValueError):
             Requirement(bad_id, "text")
 
     def test_id_tokens_accept_the_full_charset(self):
         Requirement("Req_01-a", "text")
+
+    def test_blank_failure_mode_category_rejected(self):
+        with pytest.raises(ValueError):
+            FailureMode("fm1", "r1", "  ", "missing entirely")
+
+    def test_every_bad_field_is_reported_in_one_value_error(self):
+        with pytest.raises(ValueError) as excinfo:
+            Requirement("r 1", "  ")
+        assert [(field, code) for field, code, _ in excinfo.value.problems] == [
+            ("id", "InvalidId"),
+            ("text", "EmptyText"),
+        ]
+        assert str(excinfo.value) == (
+            "Requirement['id']: ids use letters, digits, '_' and '-' only, got 'r 1';"
+            " Requirement['text']: must not be empty"
+        )
 
     def test_function_needs_verb_and_noun(self):
         with pytest.raises(ValueError):
