@@ -7,14 +7,17 @@ data. Parsing reports every problem it can find at once, each with a
 part of parsing, so a file that parses always yields a structurally
 sound model.
 
-Parsing takes one of two paths through a single schema walker. The
-stdlib decoder reads the document, the walker builds the model and
+Parsing decodes once, walks once, and locates only on failure. The
+stdlib decoder reads the document; a document it rejects (malformed,
+``NaN``, a duplicate key, an over-long integer, nesting past the
+interpreter's stack) or that holds a surrogate, escaped or raw, is read
+instead by a position-tracking reader, which reports syntax errors, and
+duplicate keys and surrogates recoverably, and keeps each key's first
+binding. One schema walker builds the model from those values and
 structural validation checks it; a sound document gets no position
-computed at all. A document that fails any of those steps, or holds a
-surrogate, escaped or raw, is read again by a position-tracking reader,
-which reports syntax errors and duplicate keys itself, and walked again;
-each problem, kept as a model path, is then resolved against the
-reader's tree to a line and column.
+computed at all. Each problem is kept as a model path, and only then
+turned into a line and column by reading, from the text, the containers
+on the problem paths and nothing else.
 
 The walker checks the document's shape: objects and their keys, arrays,
 pairs, and the types of the few slots the model leaves unchecked. Every
@@ -33,9 +36,10 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
+from json.decoder import scanstring
 from json.encoder import encode_basestring as _str
+from operator import itemgetter
 
 from .model import (
     Cause,
@@ -79,6 +83,10 @@ class ParseFailure(Exception):
         super().__init__(f"{len(self.errors)} parse error(s): {summary}")
 
 
+#: A problem found before its line and column are known: text offset, code, message.
+_Located = tuple[int, str, str]
+
+
 def parse_model(text: str) -> DesignModel:
     """Parse a model document; raise ParseFailure listing every problem.
 
@@ -86,12 +94,36 @@ def parse_model(text: str) -> DesignModel:
     reported as parse errors at the position of the offending value, so a
     successful parse guarantees a structurally valid model.
     """
-    model = _parse_fast(text)
-    return model if model is not None else _parse_positioned(text)
+    return _model_from(text, *_decode(text))
+
+
+def _model_from(text: str, data: object, errors: list[_Located]) -> DesignModel:
+    """Walk the decoded ``data`` once; locate every problem in ``text`` only if there is one."""
+    walker = _Walker()
+    model = _walk_model(walker, data)
+    problems = walker.problems
+    if model is not None and not errors:
+        problems = [(finding.path, None, finding.code, finding.message) for finding in _structural_errors(model)]
+        if not problems:
+            return model
+    locator = _Locator(text)
+    errors += [(locator.offset(path, key), code, message) for path, key, code, message in problems]
+    raise ParseFailure(_positioned(text, errors))
+
+
+def _positioned(text: str, located: list[_Located]) -> list[ParseError]:
+    """Each problem with its line and column, counted in one pass over the text."""
+    errors = []
+    line, counted = 1, 0
+    for pos, code, message in sorted(located, key=itemgetter(0)):
+        line += text.count("\n", counted, pos)
+        counted = pos
+        errors.append(ParseError(line, pos - text.rfind("\n", 0, pos), code, message))
+    return errors
 
 
 # ---------------------------------------------------------------------------
-# Fast path: the stdlib decoder, no positions.
+# Decoding: the stdlib decoder, or the positional reader on what it rejects.
 
 
 class _DuplicateKey(ValueError):
@@ -115,84 +147,117 @@ def _reject_constant(name: str) -> None:
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_object, parse_constant=_reject_constant)
 
 
-def _parse_fast(text: str) -> DesignModel | None:
-    """The model, or None when the document has any problem at all or holds a surrogate."""
-    if _SURROGATE_ESCAPE.search(text):
-        return None
+def _decode(text: str) -> tuple[object, list[_Located]]:
+    """The document's values, and the problems the reader recovered from when it had to read them."""
+    if not _SURROGATE_ESCAPE.search(text):
+        try:
+            text.encode()
+            return _DECODER.decode(text), []
+        except (ValueError, RecursionError):
+            # A raw surrogate (no UTF-8 form), malformed JSON, NaN or Infinity,
+            # a duplicate key, an integer too long to convert, or nesting deeper
+            # than the interpreter's stack.
+            pass
+    return _read(text)
+
+
+def _read(text: str) -> tuple[object, list[_Located]]:
+    """The positional reader's values, first binding of each key; ParseFailure on a syntax error."""
+    errors: list[_Located] = []
     try:
-        text.encode()
-        data = _DECODER.decode(text)
-    except (ValueError, RecursionError):
-        # A raw surrogate (no UTF-8 form), malformed JSON, NaN or Infinity,
-        # a duplicate key, an integer too long to convert, or nesting deeper
-        # than the interpreter's stack.
-        return None
-    model = _walk_model(_Walker(), data)
-    if model is None or _structural_errors(model):
-        return None
-    return model
-
-
-# ---------------------------------------------------------------------------
-# Failure path: read again with positions, walk again, locate each problem.
-
-
-def _parse_positioned(text: str) -> DesignModel:
-    """Parse with the position-tracking reader; every error carries its line and column."""
-    errors: list[ParseError] = []
-    reader = _Reader(text, errors)
-    try:
-        root = reader.parse_document()
+        return _Reader(text, errors).parse_document(), errors
     except _SyntaxFailure as exc:
-        raise ParseFailure(errors + [exc.error]) from None
-
-    walker = _Walker()
-    model = _walk_model(walker, root.value)
-    for path, key, code, message in walker.problems:
-        errors.append(ParseError(*reader.location(_offset(root, path, key)), code, message))
-    if not errors and model is not None:
-        for finding in _structural_errors(model):
-            errors.append(ParseError(*reader.location(_offset(root, finding.path)), finding.code, finding.message))
-    if errors or model is None:
-        raise ParseFailure(errors)
-    return model
-
-
-def _offset(root: _Node, path: Path, key: str | None = None) -> int:
-    """Where the value at ``path`` starts in the text, or ``key`` in that object.
-
-    A path that leaves the document falls back to its longest prefix that
-    names a value, and to the start of the text when not even its first
-    step does.
-    """
-    node = root
-    for depth, segment in enumerate(path):
-        children = node.children
-        if isinstance(segment, int):
-            found = isinstance(children, list) and 0 <= segment < len(children)
-        else:
-            found = isinstance(children, dict) and segment in children
-        if not found:
-            return node.pos if depth else 0
-        node = children[segment]
-    return node.pos if key is None else node.key_offsets[key]
+        raise ParseFailure(_positioned(text, errors) + [exc.error]) from None
 
 
 # ---------------------------------------------------------------------------
-# Position-tracking JSON reader. The stdlib decoder does not expose node
-# positions; this reader keeps them, next to the same plain values.
+# Locating: from model paths back to text offsets.
+
+#: The stdlib scanner without hooks: it reads past a value whatever keys or constants it holds.
+_SCAN = json.JSONDecoder().scan_once
 
 
-class _Node:
-    """A value in plain form, the offset where it starts, and its children's nodes."""
+class _Locator:
+    """Where the values and keys that model paths name start in a text.
 
-    __slots__ = ("value", "pos", "children", "key_offsets")
+    The text is one that the stdlib decoder or the positional reader
+    accepted. Only the containers on the paths asked for are read: each
+    member key with the stdlib ``scanstring``, each member value skipped
+    with the stdlib scanner. A container is read once however many paths
+    pass through it.
+    """
 
-    def __init__(self, value, pos, children=None, key_offsets=None):
-        self.value = value
-        self.pos = pos
-        self.children = children
-        self.key_offsets = key_offsets
+    def __init__(self, text: str) -> None:
+        self.text = text
+        # Container offset -> {key: (key offset, value offset)} for the first
+        # binding of each key, [value offset] for an array, None for a scalar.
+        self.members: dict[int, dict[str, tuple[int, int]] | list[int] | None] = {}
+
+    def offset(self, path: Path, key: str | None = None) -> int:
+        """Where the value at ``path`` starts, or ``key`` in that object.
+
+        A path that leaves the document falls back to its longest prefix
+        that names a value, and to the start of the text when not even its
+        first step does.
+        """
+        pos = _WHITESPACE.match(self.text).end()
+        for depth, segment in enumerate(path):
+            members = self._members(pos)
+            if isinstance(segment, int):
+                found = isinstance(members, list) and 0 <= segment < len(members)
+            else:
+                found = isinstance(members, dict) and segment in members
+            if not found:
+                return pos if depth else 0
+            pos = members[segment] if isinstance(segment, int) else members[segment][1]
+        return pos if key is None else self._members(pos)[key][0]
+
+    def _members(self, pos: int) -> dict[str, tuple[int, int]] | list[int] | None:
+        if pos not in self.members:
+            self.members[pos] = self._read_container(pos)
+        return self.members[pos]
+
+    def _read_container(self, pos: int) -> dict[str, tuple[int, int]] | list[int] | None:
+        text = self.text
+        opener = text[pos]
+        if opener == "{":
+            members: dict[str, tuple[int, int]] | list[int] = {}
+        elif opener == "[":
+            members = []
+        else:
+            return None
+        pos = _WHITESPACE.match(text, pos + 1).end()
+        if text[pos] in "}]":
+            return members
+        while True:
+            if opener == "{":
+                key, end = scanstring(text, pos + 1)
+                value_pos = _WHITESPACE.match(text, _WHITESPACE.match(text, end).end() + 1).end()
+                members.setdefault(key, (pos, value_pos))
+                pos = value_pos
+            else:
+                members.append(pos)
+            pos = _WHITESPACE.match(text, self._skip(pos)).end()
+            if text[pos] != ",":
+                return members
+            pos = _WHITESPACE.match(text, pos + 1).end()
+
+    def _skip(self, pos: int) -> int:
+        """The offset just past the value that starts at ``pos``."""
+        try:
+            return _SCAN(self.text, pos)[1]
+        except RecursionError:
+            # Nested past the interpreter's stack: the reader keeps its own.
+            reader = _Reader(self.text, [])
+            reader.pos = pos
+            reader.parse_value()
+            return reader.pos
+
+
+# ---------------------------------------------------------------------------
+# Position-tracking JSON reader, for text the stdlib decoder rejects: it
+# reports where a syntax error is, and reads on past duplicate keys and
+# surrogates to report them all.
 
 
 class _SyntaxFailure(Exception):
@@ -206,7 +271,7 @@ _WHITESPACE = re.compile(r"[ \t\n\r]*")
 # A run of string characters that need no attention: not a quote, a
 # backslash, a control character or a raw surrogate.
 _PLAIN_RUN = re.compile(r'[^"\\\x00-\x1f\ud800-\udfff]*')
-# An escaped surrogate: only this reader tells a pair from a lone half.
+# An escaped surrogate: only the reader tells a pair from a lone half.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
@@ -216,66 +281,60 @@ def _is_digit(ch: str) -> bool:
 
 
 class _Reader:
-    def __init__(self, text: str, errors: list[ParseError]) -> None:
+    """Reads plain values; appends each recoverable problem to ``errors``."""
+
+    def __init__(self, text: str, errors: list[_Located]) -> None:
         self.text = text
         self.pos = 0
         self.errors = errors
-        self.line_starts = [0] + [match.end() for match in re.finditer("\n", text)]
-
-    def location(self, pos: int | None = None) -> tuple[int, int]:
-        pos = self.pos if pos is None else pos
-        line = bisect_right(self.line_starts, pos)
-        return line, pos - self.line_starts[line - 1] + 1
 
     def fail(self, message: str, pos: int | None = None) -> None:
-        line, col = self.location(pos)
-        raise _SyntaxFailure(ParseError(line, col, "Syntax", message))
+        raise _SyntaxFailure(_positioned(self.text, [(self.pos if pos is None else pos, "Syntax", message)])[0])
 
     def skip_ws(self) -> None:
         self.pos = _WHITESPACE.match(self.text, self.pos).end()
 
-    def parse_document(self) -> _Node:
+    def parse_document(self) -> object:
         self.skip_ws()
-        node = self.parse_value()
+        value = self.parse_value()
         self.skip_ws()
         if self.pos != len(self.text):
             self.fail("unexpected content after the end of the document")
-        return node
+        return value
 
-    def parse_value(self) -> _Node:
+    def parse_value(self) -> object:
         """Read one value. Open arrays and objects wait on an explicit stack,
         so nesting depth is bounded by memory, not by the interpreter's stack."""
         text = self.text
-        # Each open container, with the key node its next value binds to
-        # (None for arrays).
-        stack: list[tuple[_Node, _Node | None]] = []
+        # Each open container, with the key its next value binds to and that
+        # key's offset (None and 0 for arrays).
+        stack: list[tuple[dict | list, str | None, int]] = []
         while True:
             if self.pos >= len(text):
                 self.fail("unexpected end of input")
             ch = text[self.pos]
             if ch in "{[":
-                if ch == "{":
-                    node = _Node({}, self.pos, {}, {})
-                else:
-                    node = _Node([], self.pos, [])
+                value: object = {} if ch == "{" else []
                 self.pos += 1
                 self.skip_ws()
                 if self.pos >= len(text) or text[self.pos] != ("}" if ch == "{" else "]"):
-                    stack.append((node, self._parse_key() if ch == "{" else None))
+                    stack.append((value, *self._parse_key()) if ch == "{" else (value, None, 0))
                     continue
                 self.pos += 1
             else:
-                node = self._parse_scalar(ch)
+                value = self._parse_scalar(ch)
             # A value is complete: bind it, then close every container that
             # ends right after it.
             while stack:
-                container, key_node = stack[-1]
-                is_object = key_node is not None
-                if is_object:
-                    self._bind(container, key_node, node)
+                container, key, key_pos = stack[-1]
+                is_object = key is not None
+                if not is_object:
+                    container.append(value)
+                elif key in container:
+                    # Recoverable: keep the first binding, report the repeat.
+                    self.errors.append((key_pos, "DuplicateKey", f"duplicate key {key!r}"))
                 else:
-                    container.value.append(node.value)
-                    container.children.append(node)
+                    container[key] = value
                 self.skip_ws()
                 if self.pos >= len(text):
                     self.fail("unterminated object" if is_object else "unterminated array")
@@ -283,55 +342,45 @@ class _Reader:
                 if ch == ",":
                     self.pos += 1
                     if is_object:
-                        stack[-1] = (container, self._parse_key())
+                        stack[-1] = (container, *self._parse_key())
                     else:
                         self.skip_ws()
                     break
                 if ch == ("}" if is_object else "]"):
                     self.pos += 1
                     stack.pop()
-                    node = container
+                    value = container
                     continue
                 self.fail("expected ',' or '}' in object" if is_object else "expected ',' or ']' in array")
             if not stack:
-                return node
+                return value
 
-    def _parse_scalar(self, ch: str) -> _Node:
+    def _parse_scalar(self, ch: str) -> object:
         if ch == '"':
             return self.parse_string()
         if ch == "-" or _is_digit(ch):
             return self.parse_number()
         for literal, value in (("true", True), ("false", False), ("null", None)):
             if self.text.startswith(literal, self.pos):
-                node = _Node(value, self.pos)
                 self.pos += len(literal)
-                return node
+                return value
         self.fail(f"unexpected character {ch!r}")
 
-    def _parse_key(self) -> _Node:
-        """An object key and its colon, up to the start of its value."""
+    def _parse_key(self) -> tuple[str, int]:
+        """An object key, its offset, and its colon, up to the start of its value."""
         self.skip_ws()
         if self.pos >= len(self.text) or self.text[self.pos] != '"':
             self.fail("expected an object key string")
-        key_node = self.parse_string()
+        key_pos = self.pos
+        key = self.parse_string()
         self.skip_ws()
         if self.pos >= len(self.text) or self.text[self.pos] != ":":
             self.fail("expected ':' after object key")
         self.pos += 1
         self.skip_ws()
-        return key_node
+        return key, key_pos
 
-    def _bind(self, container: _Node, key_node: _Node, child: _Node) -> None:
-        key = key_node.value
-        if key in container.children:
-            # Recoverable: keep the first binding, report the repeat.
-            self.errors.append(ParseError(*self.location(key_node.pos), "DuplicateKey", f"duplicate key {key!r}"))
-        else:
-            container.value[key] = child.value
-            container.children[key] = child
-            container.key_offsets[key] = key_node.pos
-
-    def parse_string(self) -> _Node:
+    def parse_string(self) -> str:
         text = self.text
         start = self.pos
         self.pos += 1
@@ -345,11 +394,10 @@ class _Reader:
             ch = text[end]
             if ch == '"':
                 self.pos += 1
-                return _Node("".join(pieces), start)
+                return "".join(pieces)
             if "\ud800" <= ch <= "\udfff":
                 # Recoverable, like a lone surrogate escape: no UTF-8 form.
-                message = f"unpaired surrogate character '\\u{ord(ch):04x}'"
-                self.errors.append(ParseError(*self.location(end), "Syntax", message))
+                self.errors.append((end, "Syntax", f"unpaired surrogate character '\\u{ord(ch):04x}'"))
                 pieces.append(ch)
                 self.pos += 1
                 continue
@@ -377,8 +425,7 @@ class _Reader:
                 self.pos = save
             if 0xD800 <= code <= 0xDFFF:
                 # Recoverable: the string reads as the stdlib reads it.
-                message = f"unpaired surrogate escape '{self.text[start : self.pos]}'"
-                self.errors.append(ParseError(*self.location(start), "Syntax", message))
+                self.errors.append((start, "Syntax", f"unpaired surrogate escape '{self.text[start : self.pos]}'"))
             return chr(code)
         self.fail(f"invalid escape sequence '\\{ch}'")
 
@@ -390,7 +437,7 @@ class _Reader:
         self.pos += 4
         return int(digits, 16)
 
-    def parse_number(self) -> _Node:
+    def parse_number(self) -> int | float:
         start = self.pos
         text = self.text
         if self.pos < len(text) and text[self.pos] == "-":
@@ -421,9 +468,9 @@ class _Reader:
                 self.pos += 1
         raw = text[start : self.pos]
         if is_float:
-            return _Node(float(raw), start)
+            return float(raw)
         try:
-            return _Node(int(raw), start)
+            return int(raw)
         except ValueError:
             # Past the interpreter's integer-string conversion limit,
             # which the stdlib decoder rejects too.

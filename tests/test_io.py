@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import make_camera_model, permuted, random_model, with_random_prose
 from riskforge import (
+    ANALYSIS_READY,
     Cause,
     Component,
     ControlPlan,
@@ -22,8 +23,9 @@ from riskforge import (
     ParseFailure,
     parse_model,
     serialize_model,
+    validate_model,
 )
-from riskforge.io import _offset, _parse_fast, _parse_positioned, _Reader, _SyntaxFailure
+from riskforge.io import _decode, _Locator, _model_from, _read, _Reader, _SyntaxFailure
 
 CAMERA_JSON = Path(__file__).resolve().parent.parent / "sample_models" / "camera.json"
 
@@ -155,9 +157,27 @@ class TestSyntaxErrors:
         # A str decoded with errors="surrogateescape" can hold one; it has no
         # UTF-8 form, so the writers could not write it back.
         text = MINIMAL.replace("do the thing", f"do {half} thing")
-        assert _parse_fast(text) is None
+        assert _decode(text)[1], "the stdlib decoder must not read it"
         assert [str(e) for e in errors_of(text)] == [
             f"line 3, column 45: unpaired surrogate character '\\u{ord(half):04x}' [Syntax]"
+        ]
+
+    def test_deep_unknown_value_before_a_later_bad_id(self):
+        # The stdlib decoder gives up on the nesting; so does its scanner when
+        # the unknown key's value is skipped to reach the requirements.
+        depth = sys.getrecursionlimit() + 50
+        notes = '{\n  "notes": ' + "[" * depth + "]" * depth + ',\n  "meta"'
+        text = MINIMAL.replace('{\n  "meta"', notes, 1).replace('"id": "r1"', '"id": "r 1"')
+        assert [str(e) for e in errors_of(text)] == [
+            "line 2, column 3: : unknown key 'notes' [UnknownKey]",
+            "line 4, column 27: requirements[0].id: ids use letters, digits, '_' and '-' only, got 'r 1' [InvalidId]",
+        ]
+
+    def test_fault_in_the_first_binding_of_a_duplicated_key(self):
+        text = MINIMAL.replace('"id": "r1", "text"', '"id": "r 1", "id": "r1", "text"')
+        assert [str(e) for e in errors_of(text)] == [
+            "line 3, column 27: requirements[0].id: ids use letters, digits, '_' and '-' only, got 'r 1' [InvalidId]",
+            "line 3, column 34: duplicate key 'id' [DuplicateKey]",
         ]
 
     def test_surrogate_pair_escape_is_one_character(self):
@@ -316,15 +336,28 @@ class TestReferenceErrors:
                 line_text = text.split("\n")[error.line - 1]
                 assert 1 <= error.column <= len(line_text) + 1
 
+    def test_every_failure_mode_category_is_located(self):
+        data, _ = gen.bulk_model(5, n=200)
+        for fm in data["failure_modes"]:
+            fm["category"] = "Nonsense"
+        text = gen.canonical(data)
+        lines = text.split("\n")
+        expected = [
+            (number, line.index('"Nonsense"') + 1, "UnknownCategory")
+            for number, line in enumerate(lines, start=1)
+            if line.lstrip().startswith('"category": ')
+        ]
+        assert len(expected) == len(data["failure_modes"])
+        assert [(e.line, e.column, e.code) for e in errors_of(text)] == expected
+
     def test_path_leaving_the_document_falls_back_to_its_longest_prefix(self):
-        reader = _Reader(MINIMAL, [])
-        root = reader.parse_document()
-        record = _offset(root, ("requirements", 0))
+        locator = _Locator(MINIMAL)
+        record = locator.offset(("requirements", 0))
         assert MINIMAL[record] == "{"
-        assert _offset(root, ("requirements", 0, "priority", 2)) == record
-        assert _offset(root, ("requirements", 0, "id", 0)) == _offset(root, ("requirements", 0, "id"))
-        assert _offset(root, ("requirements", 7)) == _offset(root, ("requirements",))
-        assert reader.location(_offset(root, ("notes", 0))) == (1, 1)
+        assert locator.offset(("requirements", 0, "priority", 2)) == record
+        assert locator.offset(("requirements", 0, "id", 0)) == locator.offset(("requirements", 0, "id"))
+        assert locator.offset(("requirements", 7)) == locator.offset(("requirements",))
+        assert locator.offset(("notes", 0)) == 0  # line 1, column 1
 
 
 class TestSerialization:
@@ -441,9 +474,25 @@ class TestCanonicalWriter:
         assert serialize_model(parse_model(text)) == text
 
 
+class TestBenchInvalidDocuments:
+    """Each benchmark invalid document gives the error its generator recorded."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_recorded_code_and_position(self, seed):
+        _, _, docs = gen.invalid_documents(seed, n=30)
+        assert {doc.kind for doc in docs} == set(gen.ERROR_KINDS)
+        for doc in docs:
+            if doc.exit_code == 2:
+                assert [(e.line, e.column, e.code) for e in errors_of(doc.text)] == [(doc.line, doc.column, doc.code)]
+            else:
+                report = validate_model(parse_model(doc.text), ANALYSIS_READY)
+                assert [(f.path_str, f.code) for f in report.errors] == [(doc.path, doc.code)]
+
+
 # ---------------------------------------------------------------------------
-# Differential properties: the stdlib fast path against the positional
-# failure path, and the positional reader against the stdlib decoder.
+# Differential properties: the stdlib decoder route against the positional
+# reader route, the positional reader against the stdlib decoder, and the
+# locator's offsets against the stdlib decoder.
 
 
 def _nodes(data, out):
@@ -472,6 +521,18 @@ def _duplicate_key(text, rng):
         return text
     i = rng.choice(candidates)
     return "\n".join(lines[: i + 1] + lines[i:])
+
+
+def _shadowed_key(text, rng):
+    """A member repeated before itself with another value, so its first binding differs."""
+    lines = text.split("\n")
+    candidates = [i for i, line in enumerate(lines) if re.match(r'\s*"\w+": .*,$', line)]
+    if not candidates:
+        return text
+    i = rng.choice(candidates)
+    key = lines[i].split(":", 1)[0]
+    value = rng.choice(["0", "null", "[]", "{}", '""'])
+    return "\n".join(lines[:i] + [f"{key}: {value},"] + lines[i:])
 
 
 def _unknown_key(text, rng):
@@ -543,6 +604,11 @@ MUTATIONS = (
 )
 
 
+def _reader_route(text):
+    """``parse_model`` with the positional reader in place of the stdlib decoder."""
+    return _model_from(text, *_read(text))
+
+
 def _outcome(parse, text):
     try:
         return parse(text)
@@ -561,12 +627,7 @@ class TestFastPathMatchesFailurePath:
         text = serialize_model(random_model(rng))
         if mutation is not None:
             text = mutation(text, rng)
-        positioned = _outcome(_parse_positioned, text)
-        fast = _parse_fast(text)
-        if fast is None:
-            assert isinstance(positioned, tuple) and positioned
-        else:
-            assert positioned == fast
+        positioned = _outcome(_reader_route, text)
         assert _outcome(parse_model, text) == positioned
         if isinstance(positioned, tuple):
             lines = text.split("\n")
@@ -595,7 +656,7 @@ def _stdlib_read(text):
 
 def _reader_read(text):
     try:
-        return json.dumps(_Reader(text, []).parse_document().value)
+        return json.dumps(_Reader(text, []).parse_document())
     except _SyntaxFailure:
         return None
 
@@ -640,3 +701,53 @@ class TestReaderMatchesStdlib:
     )
     def test_edge_cases(self, text):
         assert _reader_read(text) == _stdlib_read(text)
+
+
+def _paths(data, path=()):
+    """Every (path, value) in a JSON tree, the root first."""
+    yield path, data
+    if isinstance(data, (dict, list)):
+        for key, value in data.items() if isinstance(data, dict) else enumerate(data):
+            yield from _paths(value, path + (key,))
+
+
+class TestLocator:
+    """The locator's offsets, read back with the stdlib decoder."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        mutation=st.sampled_from((None, _shadowed_key) + MUTATIONS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_offsets_name_the_first_binding_values(self, seed, mutation):
+        rng = random.Random(seed)
+        model = random_model(rng)
+        text = serialize_model(with_random_prose(model, rng) if rng.random() < 0.5 else model)
+        text = rng.choice(["", " ", "\n\t"]) + text
+        if mutation is not None:
+            text = mutation(text, rng)
+        try:
+            data = json.loads(text, object_pairs_hook=_first_binding, parse_constant=_reject)
+        except ValueError:
+            return  # Only text that parses as JSON has values to locate.
+        decoder = json.JSONDecoder(object_pairs_hook=_first_binding)
+        locator = _Locator(text)
+        assert locator.offset(("zz_missing", 0)) == 0
+        for path, value in _paths(data):
+            at = locator.offset(path)
+            assert decoder.raw_decode(text, at)[0] == value
+            if isinstance(value, dict):
+                keys = [locator.offset(path, key) for key in value]
+                values = [locator.offset(path + (key,)) for key in value]
+                for key, key_at in zip(value, keys):
+                    assert text[key_at] == '"' and decoder.raw_decode(text, key_at)[0] == key
+                members = [at] + [offset for pair in zip(keys, values) for offset in pair]
+                assert members == sorted(set(members))
+                missing = path + ("zz_missing", 1)
+            elif isinstance(value, list):
+                items = [locator.offset(path + (index,)) for index in range(len(value))]
+                assert [at] + items == sorted(set([at] + items))
+                missing = path + (len(value), "id")
+            else:
+                missing = path + (0,)
+            assert locator.offset(missing) == (at if path else 0)
