@@ -12,6 +12,7 @@ diagnostic coloring only.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -202,7 +203,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use: ``parse_args`` leaves it as it is, so one serves every call."""
     parser = argparse.ArgumentParser(
         prog="riskforge",
         description="Design-risk analysis over requirement/function/component models.",
@@ -256,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     return args.handler(args)

@@ -8,16 +8,17 @@ part of parsing, so a file that parses always yields a structurally
 sound model.
 
 Parsing decodes once, walks once, and locates only on failure. The
-stdlib decoder reads the document; a document it rejects (malformed,
-``NaN``, a duplicate key, an over-long integer, nesting past the
-interpreter's stack) or that holds a surrogate, escaped or raw, is read
-instead by a position-tracking reader, which reports syntax errors, and
-duplicate keys and surrogates recoverably, and keeps each key's first
+stdlib decoder reads the document, keeping each key's first binding and
+marking each object whose keys repeat. A document it rejects (malformed,
+``NaN``, an over-long integer, nesting past the interpreter's stack) or
+that holds a surrogate, escaped or raw, is read instead by a
+position-tracking reader, which reports syntax errors, and duplicate
+keys and surrogates recoverably, and also keeps each key's first
 binding. One schema walker builds the model from those values and
 structural validation checks it; a sound document gets no position
-computed at all. Each problem is kept as a model path, and only then
-turned into a line and column by reading, from the text, the containers
-on the problem paths and nothing else.
+computed at all. Each problem, a repeated key too, is kept as a model
+path, and only then turned into a line and column by reading, from the
+text, the containers on the problem paths and nothing else.
 
 The walker checks the document's shape: objects and their keys, arrays,
 pairs, and the types of the few slots the model leaves unchecked. Every
@@ -97,16 +98,25 @@ def parse_model(text: str) -> DesignModel:
     return _model_from(text, *_decode(text))
 
 
-def _model_from(text: str, data: object, errors: list[_Located]) -> DesignModel:
-    """Walk the decoded ``data`` once; locate every problem in ``text`` only if there is one."""
+def _model_from(text: str, data: object, errors: list[_Located], repeats: int = 0) -> DesignModel:
+    """Walk the decoded ``data`` once; locate every problem in ``text`` only if there is one.
+
+    ``repeats`` is the number of repeated keys the decoder met. A repeat
+    the walk does not meet lies in a value it never enters; only the
+    positional reader reports that one.
+    """
     walker = _Walker()
     model = _walk_model(walker, data)
+    if len(walker.repeats) != repeats:
+        return _model_from(text, *_read(text))
     problems = walker.problems
-    if model is not None and not errors:
+    if model is not None and not errors and not repeats:
         problems = [(finding.path, None, finding.code, finding.message) for finding in _structural_errors(model)]
         if not problems:
             return model
     locator = _Locator(text)
+    for path, key, nth in walker.repeats:
+        errors.append((locator.offset(path, key, nth), "DuplicateKey", f"duplicate key {key!r}"))
     errors += [(locator.offset(path, key), code, message) for path, key, code, message in problems]
     raise ParseFailure(_positioned(text, errors))
 
@@ -133,9 +143,15 @@ class _DuplicateKey(ValueError):
 def _unique_object(pairs: list[tuple[str, object]]) -> dict:
     obj = dict(pairs)
     if len(obj) != len(pairs):
-        # The positional reader reports where; no need to read further.
+        # Decoded again by _first_bindings; no need to read further.
         raise _DuplicateKey
     return obj
+
+
+class _Repeats(dict):
+    """An object whose keys repeat: each key's first binding, and ``repeated``, the key of each later occurrence."""
+
+    __slots__ = ("repeated",)
 
 
 def _reject_constant(name: str) -> None:
@@ -147,18 +163,49 @@ def _reject_constant(name: str) -> None:
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_object, parse_constant=_reject_constant)
 
 
-def _decode(text: str) -> tuple[object, list[_Located]]:
-    """The document's values, and the problems the reader recovered from when it had to read them."""
+def _decode(text: str) -> tuple[object, list[_Located], int]:
+    """The document's values, the problems the reader recovered from when it had to read them,
+    and the number of repeated keys the decoder met."""
     if not _SURROGATE_ESCAPE.search(text):
         try:
             text.encode()
-            return _DECODER.decode(text), []
+            return _DECODER.decode(text), [], 0
+        except _DuplicateKey:
+            try:
+                return _first_bindings(text)
+            except (ValueError, RecursionError):
+                pass
         except (ValueError, RecursionError):
             # A raw surrogate (no UTF-8 form), malformed JSON, NaN or Infinity,
-            # a duplicate key, an integer too long to convert, or nesting deeper
-            # than the interpreter's stack.
+            # an integer too long to convert, or nesting deeper than the
+            # interpreter's stack.
             pass
-    return _read(text)
+    return (*_read(text), 0)
+
+
+def _first_bindings(text: str) -> tuple[object, list[_Located], int]:
+    """The stdlib decoder's values for a text with a repeated key: first binding of each key,
+    each object with a repeat a ``_Repeats``, and the number of repeats in the whole text."""
+    count = 0
+
+    def first_binding(pairs: list[tuple[str, object]]) -> dict:
+        nonlocal count
+        obj = dict(pairs)
+        if len(obj) == len(pairs):
+            return obj
+        obj = _Repeats()
+        obj.repeated = []
+        for key, value in pairs:
+            if key in obj:
+                obj.repeated.append(key)
+            else:
+                obj[key] = value
+        count += len(obj.repeated)
+        return obj
+
+    # A decoder of its own, so that the count belongs to this call alone.
+    data = json.JSONDecoder(object_pairs_hook=first_binding, parse_constant=_reject_constant).decode(text)
+    return data, [], count
 
 
 def _read(text: str) -> tuple[object, list[_Located]]:
@@ -189,12 +236,14 @@ class _Locator:
 
     def __init__(self, text: str) -> None:
         self.text = text
-        # Container offset -> {key: (key offset, value offset)} for the first
-        # binding of each key, [value offset] for an array, None for a scalar.
-        self.members: dict[int, dict[str, tuple[int, int]] | list[int] | None] = {}
+        # Container offset -> {key: (value offset, key offset, later key
+        # offsets...)} for the first binding of each key and the occurrences
+        # that repeat it, [value offset] for an array, None for a scalar.
+        self.members: dict[int, dict[str, tuple[int, ...]] | list[int] | None] = {}
 
-    def offset(self, path: Path, key: str | None = None) -> int:
-        """Where the value at ``path`` starts, or ``key`` in that object.
+    def offset(self, path: Path, key: str | None = None, nth: int = 0) -> int:
+        """Where the value at ``path`` starts, or the ``nth`` repeat of ``key`` in that object
+        (0: the key of its first binding).
 
         A path that leaves the document falls back to its longest prefix
         that names a value, and to the start of the text when not even its
@@ -209,19 +258,19 @@ class _Locator:
                 found = isinstance(members, dict) and segment in members
             if not found:
                 return pos if depth else 0
-            pos = members[segment] if isinstance(segment, int) else members[segment][1]
-        return pos if key is None else self._members(pos)[key][0]
+            pos = members[segment] if isinstance(segment, int) else members[segment][0]
+        return pos if key is None else self._members(pos)[key][1 + nth]
 
-    def _members(self, pos: int) -> dict[str, tuple[int, int]] | list[int] | None:
+    def _members(self, pos: int) -> dict[str, tuple[int, ...]] | list[int] | None:
         if pos not in self.members:
             self.members[pos] = self._read_container(pos)
         return self.members[pos]
 
-    def _read_container(self, pos: int) -> dict[str, tuple[int, int]] | list[int] | None:
+    def _read_container(self, pos: int) -> dict[str, tuple[int, ...]] | list[int] | None:
         text = self.text
         opener = text[pos]
         if opener == "{":
-            members: dict[str, tuple[int, int]] | list[int] = {}
+            members: dict[str, tuple[int, ...]] | list[int] = {}
         elif opener == "[":
             members = []
         else:
@@ -233,7 +282,7 @@ class _Locator:
             if opener == "{":
                 key, end = scanstring(text, pos + 1)
                 value_pos = _WHITESPACE.match(text, _WHITESPACE.match(text, end).end() + 1).end()
-                members.setdefault(key, (pos, value_pos))
+                members[key] = members[key] + (pos,) if key in members else (value_pos, pos)
                 pos = value_pos
             else:
                 members.append(pos)
@@ -511,14 +560,21 @@ class _Walker:
 
     def __init__(self) -> None:
         self.problems: list[tuple[Path, str | None, str, str]] = []
+        # (object path, key, nth repeat) for each repeated key of each object met.
+        self.repeats: list[tuple[Path, str, int]] = []
 
     def fail(self, path: Path, code: str, detail: str, key: str | None = None) -> None:
-        self.problems.append((path, key, code, f"{render_path(path)}: {detail}"))
+        self.problems.append((path, key, code, f"{render_path(path)}: {detail}" if path else detail))
 
     def obj(self, value: object, path: Path, schema: tuple[tuple[str, ...], frozenset[str]]) -> dict | None:
         if not isinstance(value, dict):
             self.fail(path, "Type", "expected an object")
             return None
+        if type(value) is _Repeats:
+            nth = dict.fromkeys(value.repeated, 0)
+            for key in value.repeated:
+                nth[key] += 1
+                self.repeats.append((path, key, nth[key]))
         required, allowed = schema
         if not allowed.issuperset(value):
             for key in value:

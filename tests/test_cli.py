@@ -14,8 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_camera_model, make_smartphone_model
-from riskforge import analysis, serialize_model, validation
-from riskforge.cli import main
+from riskforge import __version__, analysis, serialize_model, validation
+from riskforge.cli import _parser, main
 
 CAMERA_JSON = Path(__file__).resolve().parent.parent / "sample_models" / "camera.json"
 # camera.json with fm_photo's description holding an unpaired surrogate escape.
@@ -50,6 +50,22 @@ class TestValidateCommand:
 
     def test_strict_promotes_warnings(self, smartphone_path):
         assert main(["validate", "--strict", smartphone_path]) == 1
+
+    def test_repeated_calls_in_one_process_match_fresh_calls(self, smartphone_path, capsys):
+        calls = [["validate", "--strict", smartphone_path], ["validate", smartphone_path], ["--version"], ["bogus"]]
+
+        def run(argv):
+            code = main(argv)
+            return (code, *capsys.readouterr())
+
+        fresh = []
+        for argv in calls:
+            _parser.cache_clear()
+            fresh.append(run(argv))
+        assert [outcome[0] for outcome in fresh] == [1, 0, 0, 2]
+        assert fresh[2][1] == f"riskforge {__version__}\n"
+        for _ in range(2):
+            assert [run(argv) for argv in calls] == fresh
 
     def test_orphan_component_warns_but_passes(self, tmp_path, capsys):
         from riskforge import Component

@@ -4,6 +4,8 @@ import json
 import random
 import re
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -169,7 +171,7 @@ class TestSyntaxErrors:
         notes = '{\n  "notes": ' + "[" * depth + "]" * depth + ',\n  "meta"'
         text = MINIMAL.replace('{\n  "meta"', notes, 1).replace('"id": "r1"', '"id": "r 1"')
         assert [str(e) for e in errors_of(text)] == [
-            "line 2, column 3: : unknown key 'notes' [UnknownKey]",
+            "line 2, column 3: unknown key 'notes' [UnknownKey]",
             "line 4, column 27: requirements[0].id: ids use letters, digits, '_' and '-' only, got 'r 1' [InvalidId]",
         ]
 
@@ -188,6 +190,68 @@ class TestSyntaxErrors:
         text = MINIMAL.replace('"version": "1"', '"version": ' + "9" * 5000)
         errors = errors_of(text)
         assert [(e.line, e.column, e.code) for e in errors] == [(2, 44, "Syntax")]
+
+
+_REQUIREMENT = '"id": "r1", "text": "do the thing"'
+
+
+class TestDuplicateKeys:
+    """Each repeat reported at its own key, the same as the positional reader reports it."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            pytest.param(
+                MINIMAL.replace(_REQUIREMENT, '"id": "r1", "id": "r2", "id": "r3", "text": "do the thing"'),
+                [
+                    "line 3, column 33: duplicate key 'id' [DuplicateKey]",
+                    "line 3, column 45: duplicate key 'id' [DuplicateKey]",
+                ],
+                id="three-times",
+            ),
+            pytest.param(
+                MINIMAL.replace('"version": "1"},', '"version": "1"}, "meta": {"product": "a", "product": "b"},'),
+                [
+                    "line 2, column 50: duplicate key 'meta' [DuplicateKey]",
+                    "line 2, column 75: duplicate key 'product' [DuplicateKey]",
+                ],
+                id="in-the-discarded-binding",
+            ),
+            pytest.param(
+                MINIMAL.replace('{\n  "meta"', '{\n  "notes": {"a": 1, "a": 2},\n  "meta"'),
+                [
+                    "line 2, column 3: unknown key 'notes' [UnknownKey]",
+                    "line 2, column 21: duplicate key 'a' [DuplicateKey]",
+                ],
+                id="in-an-unknown-value",
+            ),
+            pytest.param(
+                MINIMAL.replace(
+                    '"failure_modes": []',
+                    '"failure_modes": [\n'
+                    '    {"id": "fm1", "element": "c1", "category": "Damaged", "description": "cracked",\n'
+                    '     "effects": [{"text": "no photo", "text": "dark"}], "description": "bent"}\n'
+                    "  ]",
+                ),
+                [
+                    "line 10, column 39: duplicate key 'text' [DuplicateKey]",
+                    "line 10, column 57: duplicate key 'description' [DuplicateKey]",
+                ],
+                id="failure-mode-and-effect",
+            ),
+            pytest.param(
+                MINIMAL.replace(_REQUIREMENT, _REQUIREMENT + ', "text": "again"').replace('"id": "c1"', '"id": "c 1"'),
+                [
+                    "line 3, column 57: duplicate key 'text' [DuplicateKey]",
+                    "line 5, column 25: components[0].id: ids use letters, digits, '_' and '-' only, got 'c 1' [InvalidId]",
+                ],
+                id="with-an-invalid-id",
+            ),
+        ],
+    )
+    def test_each_repeat_at_its_key(self, text, expected):
+        assert [str(e) for e in errors_of(text)] == expected
+        assert _outcome(parse_model, text) == _outcome(_reader_route, text)
 
 
 class TestSchemaErrors:
@@ -291,6 +355,11 @@ class TestSchemaErrors:
 
     def test_non_object_root(self):
         assert errors_of("[1, 2]")[0].code == "Type"
+        assert [str(e) for e in errors_of("[1, 2]")] == ["line 1, column 1: expected an object [Type]"]
+
+    def test_root_without_meta(self):
+        text = MINIMAL.replace('"meta": {"product": "widget", "version": "1"},', "")
+        assert [str(e) for e in errors_of(text)] == ["line 1, column 1: missing required key 'meta' [MissingKey]"]
 
 
 class TestReferenceErrors:
@@ -488,6 +557,17 @@ class TestBenchInvalidDocuments:
                 report = validate_model(parse_model(doc.text), ANALYSIS_READY)
                 assert [(f.path_str, f.code) for f in report.errors] == [(doc.path, doc.code)]
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_duplicate_keys_need_no_positional_reader(self, seed, monkeypatch):
+        def no_reader(*args):
+            raise AssertionError("a duplicate key sent the document to the positional reader")
+
+        monkeypatch.setattr("riskforge.io._Reader", no_reader)
+        docs = [doc for doc in gen.invalid_documents(seed, n=30)[2] if doc.kind == "duplicate_key"]
+        assert docs
+        for doc in docs:
+            assert [(e.line, e.column, e.code) for e in errors_of(doc.text)] == [(doc.line, doc.column, doc.code)]
+
 
 # ---------------------------------------------------------------------------
 # Differential properties: the stdlib decoder route against the positional
@@ -619,7 +699,7 @@ def _outcome(parse, text):
 class TestFastPathMatchesFailurePath:
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        mutation=st.sampled_from((None,) + MUTATIONS),
+        mutation=st.sampled_from((None, _shadowed_key) + MUTATIONS),
     )
     @settings(max_examples=300, deadline=None)
     def test_same_model_or_same_errors(self, seed, mutation):
@@ -751,3 +831,40 @@ class TestLocator:
             else:
                 missing = path + (0,)
             assert locator.offset(missing) == (at if path else 0)
+
+
+class TestThreadSafety:
+    def test_threads_share_the_decoder(self):
+        clean = CAMERA_JSON.read_text(encoding="utf-8")
+        repeated = clean.replace('"id": "fm_photo",', '"id": "fm_photo",\n      "id": "fm_photo",', 1)
+        assert repeated != clean
+        texts = [clean, repeated]
+        serial = [_outcome(parse_model, text) for text in texts]
+        assert isinstance(serial[0], DesignModel) and [e.code for e in serial[1]] == ["DuplicateKey"]
+        results: list[list] = [[] for _ in range(8)]
+        deadline = time.monotonic() + 1.0
+
+        def work(out):
+            for i in range(200):
+                if time.monotonic() > deadline:
+                    break
+                try:
+                    out.append((i % 2, _outcome(parse_model, texts[i % 2])))
+                except Exception as exc:  # Reported below, against the serial outcome.
+                    out.append((i % 2, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(out,)) for out in results]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(results)
+        for out in results:
+            for which, outcome in out:
+                assert outcome == serial[which]
