@@ -203,7 +203,8 @@ def _first_bindings(text: str) -> tuple[object, list[_Located], int]:
         count += len(obj.repeated)
         return obj
 
-    # A decoder of its own, so that the count belongs to this call alone.
+    # A decoder of its own, built only for a text with a repeat, so that the
+    # count belongs to this call alone.
     data = json.JSONDecoder(object_pairs_hook=first_binding, parse_constant=_reject_constant).decode(text)
     return data, [], count
 
@@ -304,9 +305,9 @@ class _Locator:
 
 
 # ---------------------------------------------------------------------------
-# Position-tracking JSON reader, for text the stdlib decoder rejects: it
-# reports where a syntax error is, and reads on past duplicate keys and
-# surrogates to report them all.
+# Position-tracking JSON reader, for text the stdlib decoder rejects and for
+# a repeated key the walk does not meet: it reports where a syntax error is,
+# and reads on past duplicate keys and surrogates to report them all.
 
 
 class _SyntaxFailure(Exception):
