@@ -18,13 +18,17 @@ binding. One schema walker builds the model from those values and
 structural validation checks it; a sound document gets no position
 computed at all. Each problem, a repeated key too, is kept as a model
 path, and only then turned into a line and column by reading, from the
-text, the containers on the problem paths and nothing else.
+text, the containers on the problem paths and nothing else, each only up
+to the member a path needs, so nothing past the last problem is read.
 
 The walker checks the document's shape: objects and their keys, arrays,
 pairs, and the types of the few slots the model leaves unchecked. Every
 value rule (id charset, non-blank prose, flow kinds, control classes,
 positive frequencies) is the model constructors'; the walker builds each
-record through its constructor and reports what that rejects.
+record through its constructor and reports what that rejects. A sound
+record takes an inline path, its shape tested and its constructor called
+directly; only a record that misses is walked again by the reporting
+code, which builds the model path of each problem.
 
 Serialization writes what ``json.dumps(data, indent=2, ensure_ascii=False)``
 gives for the model's plain form (fixed key order, LF endings, trailing
@@ -38,9 +42,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import partial
 from json.decoder import scanstring
 from json.encoder import encode_basestring as _str
 from operator import itemgetter
+from typing import NamedTuple
 
 from .model import (
     Cause,
@@ -229,18 +235,23 @@ class _Locator:
     """Where the values and keys that model paths name start in a text.
 
     The text is one that the stdlib decoder or the positional reader
-    accepted. Only the containers on the paths asked for are read: each
-    member key with the stdlib ``scanstring``, each member value skipped
-    with the stdlib scanner. A container is read once however many paths
-    pass through it.
+    accepted. Only the containers on the paths asked for are read, and
+    each only up to the member a path needs: each member key with the
+    stdlib ``scanstring``, each earlier member value skipped with the
+    stdlib scanner. A read stops at that member and a later path resumes
+    it there, so a container is read at most once however many paths pass
+    through it, and nothing after the last member asked for is read.
     """
 
     def __init__(self, text: str) -> None:
         self.text = text
-        # Container offset -> {key: (value offset, key offset, later key
-        # offsets...)} for the first binding of each key and the occurrences
-        # that repeat it, [value offset] for an array, None for a scalar.
-        self.members: dict[int, dict[str, tuple[int, ...]] | list[int] | None] = {}
+        # Container offset -> [members, resume]. The members read so far:
+        # {key: (value offset, key offset, later key offsets...)} for the
+        # first binding of each key and the occurrences that repeat it,
+        # [value offset] for an array, None for a scalar. ``resume`` is
+        # where the read goes on: the value of the last member read, not yet
+        # skipped, or the first member when none is; None at the end.
+        self.reads: dict[int, list] = {}
 
     def offset(self, path: Path, key: str | None = None, nth: int = 0) -> int:
         """Where the value at ``path`` starts, or the ``nth`` repeat of ``key`` in that object
@@ -252,45 +263,59 @@ class _Locator:
         """
         pos = _WHITESPACE.match(self.text).end()
         for depth, segment in enumerate(path):
-            members = self._members(pos)
-            if isinstance(segment, int):
-                found = isinstance(members, list) and 0 <= segment < len(members)
-            else:
-                found = isinstance(members, dict) and segment in members
-            if not found:
+            found = self._member(pos, segment)
+            if found is None:
                 return pos if depth else 0
-            pos = members[segment] if isinstance(segment, int) else members[segment][0]
-        return pos if key is None else self._members(pos)[key][1 + nth]
+            pos = found
+        return pos if key is None else self._member(pos, key, 1 + nth)
 
-    def _members(self, pos: int) -> dict[str, tuple[int, ...]] | list[int] | None:
-        if pos not in self.members:
-            self.members[pos] = self._read_container(pos)
-        return self.members[pos]
+    def _member(self, pos: int, segment: str | int, slot: int = 0) -> int | None:
+        """Offset ``slot`` of member ``segment`` of the container at ``pos`` (see ``reads``),
+        read no further than that member; None if the container has no such member."""
+        read = self.reads.get(pos)
+        if read is None:
+            read = self.reads[pos] = self._open(pos)
+        members = read[0]
+        if isinstance(segment, int):
+            if not isinstance(members, list) or segment < 0:
+                return None
+            while len(members) <= segment and read[1] is not None:
+                self._read_member(read)
+            return members[segment] if segment < len(members) else None
+        if not isinstance(members, dict):
+            return None
+        while (segment not in members or len(members[segment]) <= slot) and read[1] is not None:
+            self._read_member(read)
+        offsets = members.get(segment, ())
+        return offsets[slot] if slot < len(offsets) else None
 
-    def _read_container(self, pos: int) -> dict[str, tuple[int, ...]] | list[int] | None:
+    def _open(self, pos: int) -> list:
+        """A read of the container at ``pos`` that has read no member yet."""
         text = self.text
         opener = text[pos]
-        if opener == "{":
-            members: dict[str, tuple[int, ...]] | list[int] = {}
-        elif opener == "[":
-            members = []
-        else:
-            return None
-        pos = _WHITESPACE.match(text, pos + 1).end()
-        if text[pos] in "}]":
-            return members
-        while True:
-            if opener == "{":
-                key, end = scanstring(text, pos + 1)
-                value_pos = _WHITESPACE.match(text, _WHITESPACE.match(text, end).end() + 1).end()
-                members[key] = members[key] + (pos,) if key in members else (value_pos, pos)
-                pos = value_pos
-            else:
-                members.append(pos)
+        if opener not in "{[":
+            return [None, None]
+        first = _WHITESPACE.match(text, pos + 1).end()
+        return [{} if opener == "{" else [], None if text[first] in "}]" else first]
+
+    def _read_member(self, read: list) -> None:
+        """Skip the value of the last member read, then read the next member's key and value offset."""
+        text = self.text
+        members, pos = read
+        if members:
             pos = _WHITESPACE.match(text, self._skip(pos)).end()
             if text[pos] != ",":
-                return members
+                read[1] = None
+                return
             pos = _WHITESPACE.match(text, pos + 1).end()
+        if isinstance(members, dict):
+            key, end = scanstring(text, pos + 1)
+            value_pos = _WHITESPACE.match(text, _WHITESPACE.match(text, end).end() + 1).end()
+            members[key] = members[key] + (pos,) if key in members else (value_pos, pos)
+            pos = value_pos
+        else:
+            members.append(pos)
+        read[1] = pos
 
     def _skip(self, pos: int) -> int:
         """The offset just past the value that starts at ``pos``."""
@@ -534,8 +559,15 @@ class _Reader:
 # turns paths into positions.
 
 
-def _schema(required: tuple[str, ...], optional: tuple[str, ...] = ()) -> tuple[tuple[str, ...], frozenset[str]]:
-    return required, frozenset(required + optional)
+class _Schema(NamedTuple):
+    """The keys an object must have, in the order missing ones are reported, and the keys it may have."""
+
+    required: tuple[str, ...]
+    allowed: frozenset[str]
+
+
+def _schema(required: tuple[str, ...], optional: tuple[str, ...] = ()) -> _Schema:
+    return _Schema(required, frozenset(required + optional))
 
 
 _TOP = _schema(("meta", "requirements", "functions", "components", "rf", "fc", "failure_modes"))
@@ -555,8 +587,16 @@ class _Walker:
 
     Besides shape, it checks only the types of ``concept``,
     ``severity_class``, ``method_text`` and the ranks, which no
-    constructor checks. A scalar's own path is built only when it has a
-    problem.
+    constructor checks. The happy path is inline: each array item is
+    handed to a ``_sound_*`` builder, which tests the item's shape with
+    ``type(...) is dict`` (so an object with a repeated key misses), one
+    test that its keys are allowed ones and a type test per optional
+    slot, then calls the constructors directly, nested records included.
+    It makes no walker call and builds no path. Only an item that misses
+    that shape, lacks a required key, or that a constructor rejects, is
+    walked again by the reporting code here and in the ``_walk_*``
+    functions, which builds the path of each problem it files and records
+    each repeated key.
     """
 
     def __init__(self) -> None:
@@ -567,7 +607,7 @@ class _Walker:
     def fail(self, path: Path, code: str, detail: str, key: str | None = None) -> None:
         self.problems.append((path, key, code, f"{render_path(path)}: {detail}" if path else detail))
 
-    def obj(self, value: object, path: Path, schema: tuple[tuple[str, ...], frozenset[str]]) -> dict | None:
+    def obj(self, value: object, path: Path, schema: _Schema) -> dict | None:
         if not isinstance(value, dict):
             self.fail(path, "Type", "expected an object")
             return None
@@ -624,28 +664,32 @@ def _walk_model(w: _Walker, data: object) -> DesignModel | None:
         return None
 
     meta = _walk_meta(w, top["meta"], ("meta",))
-    requirements = _walk_list(w, top, "requirements", (), _walk_requirement)
-    functions = _walk_list(w, top, "functions", (), _walk_function)
-    components = _walk_list(w, top, "components", (), _walk_component)
-    rf = _walk_list(w, top, "rf", (), _walk_edge)
-    fc = _walk_list(w, top, "fc", (), _walk_edge)
-    failure_modes = _walk_list(w, top, "failure_modes", (), _walk_failure_mode)
+    requirements = _walk_list(w, top, "requirements", (), _sound_requirement, _walk_requirement)
+    functions = _walk_list(w, top, "functions", (), _sound_function, _walk_function)
+    components = _walk_list(w, top, "components", (), _sound_component, _walk_component)
+    rf = _walk_list(w, top, "rf", (), _sound_edge, _walk_edge)
+    fc = _walk_list(w, top, "fc", (), _sound_edge, _walk_edge)
+    failure_modes = _walk_list(w, top, "failure_modes", (), _sound_failure_mode, _walk_failure_mode)
 
     if w.problems or meta is None:
         return None
     return DesignModel(meta, requirements, functions, components, rf, fc, failure_modes)
 
 
-def _walk_list(w: _Walker, container: dict, key: str, path: Path, walk_item) -> list:
-    path = path + (key,)
-    values = w.array(container[key], path)
-    if values is None:
+def _walk_list(w: _Walker, container: dict, key: str, path: Path, sound, walk_item) -> list:
+    """Each item of the array at ``container[key]``: built by ``sound``, or else walked by ``walk_item``."""
+    values = container[key]
+    if type(values) is not list:
+        w.fail(path + (key,), "Type", "expected an array")
         return []
     items = []
     for index, value in enumerate(values):
-        item = walk_item(w, value, path + (index,))
-        if item is not None:
-            items.append(item)
+        try:
+            items.append(sound(value))
+        except (_Miss, KeyError, _FieldError):
+            item = walk_item(w, value, path + (key, index))
+            if item is not None:
+                items.append(item)
     return items
 
 
@@ -674,8 +718,8 @@ def _walk_function(w: _Walker, value: object, path: Path) -> Function | None:
     fields = w.obj(value, path, _FUNCTION)
     if fields is None:
         return None
-    inputs = _walk_list(w, fields, "inputs", path, _walk_flow) if "inputs" in fields else ()
-    outputs = _walk_list(w, fields, "outputs", path, _walk_flow) if "outputs" in fields else ()
+    inputs = _walk_list(w, fields, "inputs", path, _sound_flow, _walk_flow) if "inputs" in fields else ()
+    outputs = _walk_list(w, fields, "outputs", path, _sound_flow, _walk_flow) if "outputs" in fields else ()
     return w.build(Function, path, fields["id"], fields["verb"], fields["noun"], inputs, outputs)
 
 
@@ -736,11 +780,101 @@ def _walk_failure_mode(w: _Walker, value: object, path: Path) -> FailureMode | N
     fields = w.obj(value, path, _FAILURE_MODE)
     if fields is None:
         return None
-    effects = _walk_list(w, fields, "effects", path, _walk_effect) if "effects" in fields else ()
-    causes = _walk_list(w, fields, "causes", path, _walk_cause) if "causes" in fields else ()
+    effects = _walk_list(w, fields, "effects", path, _sound_effect, _walk_effect) if "effects" in fields else ()
+    causes = _walk_list(w, fields, "causes", path, _sound_cause, _walk_cause) if "causes" in fields else ()
     control = _walk_control(w, fields["control"], path + ("control",)) if "control" in fields else None
     head = fields["id"], fields["element"], fields["category"], fields["description"]
     return w.build(FailureMode, path, *head, causes, effects, control)
+
+
+# The inline happy path. Each ``_sound_*`` builds one value through its
+# constructor when the value has its slot's sound shape, and raises _Miss
+# when it has not; a required key that is missing raises KeyError where it
+# is read. A type test reads an absent optional slot as its default:
+# ``type(value.get(key, "")) is str`` holds when the key is absent or a
+# string, and ``type(...) is int`` also rules out bools.
+
+
+class _Miss(Exception):
+    """A value not of its slot's sound shape: the reporting walk reads it again."""
+
+
+def _sound_all(sound, values: object) -> list:
+    if type(values) is not list:
+        raise _Miss
+    return list(map(sound, values))
+
+
+def _sound_pair(cls, pair: object):
+    if type(pair) is not list or len(pair) != 2:
+        raise _Miss
+    return cls(pair[0], pair[1])
+
+
+_sound_edge = partial(_sound_pair, MappingEdge)
+
+
+def _sound_requirement(value: object) -> Requirement:
+    if type(value) is not dict or not _REQUIREMENT.allowed.issuperset(value):
+        raise _Miss
+    return Requirement(value["id"], value["text"])
+
+
+def _sound_flow(value: object) -> Flow:
+    if type(value) is not dict or not _FLOW.allowed.issuperset(value):
+        raise _Miss
+    return Flow(value["description"], value["kind"])
+
+
+def _sound_function(value: object) -> Function:
+    if type(value) is not dict or not _FUNCTION.allowed.issuperset(value):
+        raise _Miss
+    inputs = _sound_all(_sound_flow, value["inputs"]) if "inputs" in value else ()
+    outputs = _sound_all(_sound_flow, value["outputs"]) if "outputs" in value else ()
+    return Function(value["id"], value["verb"], value["noun"], inputs, outputs)
+
+
+def _sound_component(value: object) -> Component:
+    if type(value) is not dict or not _COMPONENT.allowed.issuperset(value):
+        raise _Miss
+    if type(value.get("concept", "")) is not str:
+        raise _Miss
+    return Component(value["id"], value["name"], value.get("concept"))
+
+
+def _sound_effect(value: object) -> Effect:
+    if type(value) is not dict or not _EFFECT.allowed.issuperset(value):
+        raise _Miss
+    if type(value.get("severity_class", "")) is not str or type(value.get("severity_rank", 0)) is not int:
+        raise _Miss
+    return Effect(value["text"], value.get("severity_class"), value.get("severity_rank"))
+
+
+def _sound_cause(value: object) -> Cause:
+    if type(value) is not dict or not _CAUSE.allowed.issuperset(value):
+        raise _Miss
+    if type(value.get("occurrence_rank", 0)) is not int:
+        raise _Miss
+    frequency = _sound_pair(Frequency, value["frequency"]) if "frequency" in value else None
+    return Cause(value["text"], value.get("occurrence_rank"), frequency)
+
+
+def _sound_control(value: object) -> ControlPlan:
+    if type(value) is not dict or not _CONTROL.allowed.issuperset(value):
+        raise _Miss
+    if type(value.get("method_text", "")) is not str or type(value.get("detection_rank", 0)) is not int:
+        raise _Miss
+    return ControlPlan(value["method_class"], value.get("method_text"), value.get("detection_rank"))
+
+
+def _sound_failure_mode(value: object) -> FailureMode:
+    if type(value) is not dict or not _FAILURE_MODE.allowed.issuperset(value):
+        raise _Miss
+    effects = _sound_all(_sound_effect, value["effects"]) if "effects" in value else ()
+    causes = _sound_all(_sound_cause, value["causes"]) if "causes" in value else ()
+    control = _sound_control(value["control"]) if "control" in value else None
+    head = value["id"], value["element"], value["category"], value["description"]
+    return FailureMode(*head, causes, effects, control)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,15 @@ _CATEGORIES_BY_DOMAIN: dict[Domain, frozenset[str]] = {
 
 ALL_CATEGORY_NAMES = frozenset().union(*_CATEGORIES_BY_DOMAIN.values())
 
+
+def _by_domain(table: dict[Domain, object]) -> dict[Domain | str, object]:
+    """``table`` keyed by each domain and by its string value too: callers pass either, and an
+    Enum member need not hash as its value does."""
+    return {**table, **{domain.value: entry for domain, entry in table.items()}}
+
+
+_CATEGORIES_BY_KEY = _by_domain(_CATEGORIES_BY_DOMAIN)
+
 # Ordered worst-detectability-first; the rating module maps each class to
 # its rank band by this position.
 CONTROL_METHOD_CLASSES = (
@@ -94,7 +103,10 @@ class UnknownFailureMode(ModelError):
 
 def allowed_categories(domain: Domain) -> frozenset[str]:
     """Return the fixed failure-mode category names for one element domain."""
-    return _CATEGORIES_BY_DOMAIN[Domain(domain)]
+    try:
+        return _CATEGORIES_BY_KEY[domain]
+    except (KeyError, TypeError):
+        return _CATEGORIES_BY_DOMAIN[Domain(domain)]
 
 
 def is_valid_rank(value: object) -> bool:

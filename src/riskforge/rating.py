@@ -16,6 +16,7 @@ from .model import (
     CONTROL_METHOD_CLASSES,
     Domain,
     Frequency,
+    _by_domain,
     is_valid_rank,
 )
 
@@ -82,15 +83,16 @@ ALL_SEVERITY_CLASS_NAMES = frozenset(
     name for names in SEVERITY_CLASSES.values() for name in names
 )
 
-# Occurrence boundaries. The scale's rows as usually written leave two
-# gaps, (1/10000, 1/1250) and (1/1000000, 1/100000); a frequency in a gap
-# maps to the higher adjacent band, because under-ranking occurrence is
-# the costlier mistake. That widens the effective 5-6 band down to just
-# above 1/10000 and the 2-4 band down to just above 1/1000000.
-_FREQ_9_10 = Fraction(1, 20)
-_FREQ_7_8 = Fraction(1, 125)
-_FREQ_5_6_EXCLUSIVE = Fraction(1, 10000)
-_FREQ_2_4_EXCLUSIVE = Fraction(1, 1000000)
+# Occurrence boundaries, each as one failure in so many opportunities. The
+# scale's rows as usually written leave two gaps, (1/10000, 1/1250) and
+# (1/1000000, 1/100000); a frequency in a gap maps to the higher adjacent
+# band, because under-ranking occurrence is the costlier mistake. That
+# widens the effective 5-6 band down to just above 1/10000 and the 2-4 band
+# down to just above 1/1000000.
+_PER_9_10 = 20
+_PER_7_8 = 125
+_PER_5_6_EXCLUSIVE = 10000
+_PER_2_4_EXCLUSIVE = 1000000
 
 
 def occurrence_band(frequency: Frequency | Fraction) -> RankBand:
@@ -100,43 +102,57 @@ def occurrence_band(frequency: Frequency | Fraction) -> RankBand:
     positive rationals and monotone (a higher frequency never lands in a
     lower band).
     """
-    value = frequency.as_fraction() if isinstance(frequency, Frequency) else Fraction(frequency)
-    if value <= 0:
-        raise ValueError(f"frequency must be positive, got {value}")
-    if value >= _FREQ_9_10:
+    if isinstance(frequency, Frequency):
+        # Its constructor holds both integers positive.
+        failures, opportunities = frequency.numerator, frequency.denominator
+    else:
+        value = Fraction(frequency)
+        if value <= 0:
+            raise ValueError(f"frequency must be positive, got {value}")
+        failures, opportunities = value.numerator, value.denominator
+    # failures/opportunities against 1/per is per * failures against
+    # opportunities: exact in integers, with no Fraction built.
+    if _PER_9_10 * failures >= opportunities:
         return BAND_9_10
-    if value >= _FREQ_7_8:
+    if _PER_7_8 * failures >= opportunities:
         return BAND_7_8
-    if value > _FREQ_5_6_EXCLUSIVE:
+    if _PER_5_6_EXCLUSIVE * failures > opportunities:
         return BAND_5_6
-    if value > _FREQ_2_4_EXCLUSIVE:
+    if _PER_2_4_EXCLUSIVE * failures > opportunities:
         return BAND_2_4
     return BAND_1
 
 
+#: Severity class -> band, per domain.
+_SEVERITY_BANDS = _by_domain({domain: dict(zip(names, BANDS)) for domain, names in SEVERITY_CLASSES.items()})
+#: Control method class -> band.
+_DETECTION_BANDS = dict(zip(CONTROL_METHOD_CLASSES, BANDS))
+
+
 def severity_band(domain: Domain, class_name: str) -> RankBand:
     """Map a (domain, severity class) pair to its band."""
-    names = SEVERITY_CLASSES[Domain(domain)]
     try:
-        row = names.index(class_name)
-    except ValueError:
+        bands = _SEVERITY_BANDS[domain]
+    except (KeyError, TypeError):
+        bands = _SEVERITY_BANDS[Domain(domain)]
+    try:
+        return bands[class_name]
+    except (KeyError, TypeError):
         raise ValueError(
             f"unknown severity class {class_name!r} for {Domain(domain).value}"
-            f" elements; expected one of {names}"
+            f" elements; expected one of {SEVERITY_CLASSES[Domain(domain)]}"
         ) from None
-    return BANDS[row]
 
 
 def detection_band(method_class: str) -> RankBand:
     """Map a control method class to its detection band."""
     try:
-        row = CONTROL_METHOD_CLASSES.index(method_class)
-    except ValueError:
+        return _DETECTION_BANDS[method_class]
+    except (KeyError, TypeError):
         raise ValueError(
             f"unknown control method class {method_class!r};"
             f" expected one of {CONTROL_METHOD_CLASSES}"
         ) from None
-    return BANDS[row]
 
 
 def rpn(severity: int, occurrence: int, detection: int) -> int:

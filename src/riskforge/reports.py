@@ -243,6 +243,7 @@ def _md_escape(cell: str) -> str:
 
 def _emit(artifact: PriorityReport | FmeaDocument, format: str, stamp: str | None) -> str:
     """Render any artifact in any format from its kind's layout."""
+    _check_format(format)
     header, values, keys = _LAYOUTS[type(artifact)]
     if format == "json":
         members = ['"provenance": ' + _scalar(stamp)] if stamp else []
@@ -260,16 +261,20 @@ def _emit(artifact: PriorityReport | FmeaDocument, format: str, stamp: str | Non
         writer.writerow(header)
         writer.writerows(cell_rows)
         return buffer.getvalue()
-    if format == "md":
-        lines = []
-        if stamp:
-            lines.append(f"<!-- {stamp} -->")
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("|" + "|".join(" --- " for _ in header) + "|")
-        for cells in cell_rows:
-            lines.append("| " + " | ".join(_md_escape(c) for c in cells) + " |")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
+    # md
+    lines = []
+    if stamp:
+        lines.append(f"<!-- {stamp} -->")
+    lines.append("| " + " | ".join(header) + " |")
+    lines.append("|" + "|".join(" --- " for _ in header) + "|")
+    for cells in cell_rows:
+        lines.append("| " + " | ".join(_md_escape(c) for c in cells) + " |")
+    return "\n".join(lines) + "\n"
+
+
+def _check_format(format: str) -> None:
+    if format not in FORMATS:
+        raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
 
 
 def emit_fmea_document(document: FmeaDocument, format: str = "csv", stamp: str | None = None) -> str:
@@ -294,8 +299,7 @@ def write_bundle(
     stamp: str | None = None,
 ) -> list[FsPath]:
     """Write the five artifacts into a directory; returns the paths written."""
-    if format not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
+    _check_format(format)
     out = FsPath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[FsPath] = []

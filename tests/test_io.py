@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from riskforge import (
     serialize_model,
     validate_model,
 )
+from riskforge import io as rio
 from riskforge.io import _decode, _Locator, _model_from, _read, _Reader, _SyntaxFailure
 
 CAMERA_JSON = Path(__file__).resolve().parent.parent / "sample_models" / "camera.json"
@@ -831,6 +833,89 @@ class TestLocator:
             else:
                 missing = path + (0,)
             assert locator.offset(missing) == (at if path else 0)
+        # Reads resume part-way through a container: any order gives the same offsets.
+        queries = []
+        for path, value in _paths(data):
+            queries.append((path, None))
+            if isinstance(value, dict):
+                queries += [(path, key) for key in value]
+        in_document_order = {query: locator.offset(*query) for query in queries}
+        rng.shuffle(queries)
+        shuffled = _Locator(text)
+        assert {query: shuffled.offset(*query) for query in queries} == in_document_order
+
+
+class TestLocatorWork:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_skips_nothing_at_or_after_what_it_locates(self, seed, monkeypatch):
+        """A container is read only up to the member a path needs: every value the locator
+        skips ends at or before the offset it returns."""
+        spans, offsets = [], []
+        skip, offset = _Locator._skip, _Locator.offset
+
+        def recording_skip(self, pos):
+            end = skip(self, pos)
+            spans.append((pos, end))
+            return end
+
+        def recording_offset(self, *args):
+            offsets.append(offset(self, *args))
+            return offsets[-1]
+
+        monkeypatch.setattr(_Locator, "_skip", recording_skip)
+        monkeypatch.setattr(_Locator, "offset", recording_offset)
+        located = 0
+        for doc in gen.invalid_documents(seed, n=30)[2]:
+            spans.clear()
+            offsets.clear()
+            _outcome(parse_model, doc.text)
+            if offsets:
+                located += 1
+                assert spans and all(end <= offsets[0] for _, end in spans), doc.kind
+        assert located == 20  # every parse error but the syntax errors
+
+
+def _reporting_route(text):
+    """``parse_model`` with every item walked by the reporting code, none built inline."""
+
+    def miss(*args):
+        raise rio._Miss
+
+    with mock.patch.multiple(rio, **{name: miss for name in vars(rio) if name.startswith("_sound_")}):
+        return _outcome(parse_model, text)
+
+
+class TestInlineWalkMatchesReportingWalk:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        mutation=st.sampled_from((None, _shadowed_key) + MUTATIONS),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_same_model_or_same_errors(self, seed, mutation):
+        rng = random.Random(seed)
+        text = serialize_model(with_random_prose(random_model(rng), rng))
+        if mutation is not None:
+            text = mutation(text, rng)
+        assert _outcome(parse_model, text) == _reporting_route(text)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"text": "t", "severity_class": null}',
+            '{"text": "t", "severity_rank": true}',
+            '{"text": "t", "severity_rank": 2.0}',
+            '{"text": "t", "severity_rank": 3, "severity_rank": 3}',
+            '{"severity_rank": 3}',
+            '{"text": "t", "extra": 1}',
+            '["t"]',
+        ],
+    )
+    def test_each_shape_miss_of_a_nested_record(self, record):
+        data = json.loads(CAMERA_JSON.read_text(encoding="utf-8"))
+        data["failure_modes"][-1]["effects"].append("@@record@@")
+        text = json.dumps(data, indent=2).replace('"@@record@@"', record)
+        assert isinstance(_outcome(parse_model, text), tuple)
+        assert _outcome(parse_model, text) == _reporting_route(text)
 
 
 class TestThreadSafety:

@@ -13,6 +13,7 @@ from riskforge import (
     Frequency,
     RankBand,
     SEVERITY_CLASSES,
+    allowed_categories,
     detection_band,
     occurrence_band,
     rpn,
@@ -21,6 +22,37 @@ from riskforge import (
 
 positive_fractions = st.fractions(
     min_value=Fraction(1, 10**9), max_value=Fraction(10**6)
+)
+
+
+def reference_occurrence_band(value: Fraction) -> RankBand:
+    """The occurrence scale read directly, in Fractions: gaps go to the higher band."""
+    if value >= Fraction(1, 20):
+        return RankBand(9, 10)
+    if value >= Fraction(1, 125):
+        return RankBand(7, 8)
+    if value > Fraction(1, 10000):
+        return RankBand(5, 6)
+    if value > Fraction(1, 1000000):
+        return RankBand(2, 4)
+    return RankBand(1, 1)
+
+
+BOUNDARY_OPPORTUNITIES = (20, 125, 1250, 10000, 100000, 1000000)
+#: (failures, opportunities) pairs: anywhere up to 10^7, at or one step off
+#: a boundary (also unreduced), and inside each of the scale's two gaps.
+frequency_pairs = st.one_of(
+    st.tuples(st.integers(1, 10**7), st.integers(1, 10**7)),
+    st.builds(
+        lambda per, scale, step: (scale, per * scale + step),
+        st.sampled_from(BOUNDARY_OPPORTUNITIES),
+        st.integers(1, 10),
+        st.integers(-1, 1),
+    ),
+    st.one_of(
+        st.fractions(Fraction(1, 10000), Fraction(1, 1250), max_denominator=10**7),
+        st.fractions(Fraction(1, 1000000), Fraction(1, 100000), max_denominator=10**7),
+    ).map(lambda value: (value.numerator, value.denominator)),
 )
 
 
@@ -73,6 +105,20 @@ class TestOccurrenceBand:
     def test_total_over_positive_rationals(self, value):
         assert occurrence_band(value) in BANDS
 
+    @given(pair=frequency_pairs)
+    @settings(max_examples=300, deadline=None)
+    def test_integer_comparison_matches_fractions(self, pair):
+        failures, opportunities = pair
+        expected = reference_occurrence_band(Fraction(failures, opportunities))
+        assert occurrence_band(Frequency(failures, opportunities)) == expected
+        assert occurrence_band(Fraction(failures, opportunities)) == expected
+
+    def test_rejects_nonpositive_numbers_with_their_value(self):
+        with pytest.raises(ValueError, match=r"^frequency must be positive, got -1/2$"):
+            occurrence_band(Fraction(-1, 2))
+        with pytest.raises(ValueError, match=r"^frequency must be positive, got 0$"):
+            occurrence_band(0)
+
 
 class TestSeverityBand:
     @pytest.mark.parametrize(
@@ -113,6 +159,26 @@ class TestSeverityBand:
         with pytest.raises(ValueError):
             severity_band(Domain.REQUIREMENT, "Catastrophic")
 
+    @pytest.mark.parametrize("domain", list(Domain))
+    def test_a_domain_or_its_value(self, domain):
+        for name in SEVERITY_CLASSES[domain]:
+            assert severity_band(domain.value, name) == severity_band(domain, name)
+        assert allowed_categories(domain.value) == allowed_categories(domain)
+        message = (
+            f"unknown severity class 'Catastrophic' for {domain.value} elements;"
+            f" expected one of {SEVERITY_CLASSES[domain]}"
+        )
+        for key in (domain, domain.value):
+            with pytest.raises(ValueError) as excinfo:
+                severity_band(key, "Catastrophic")
+            assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("domain", ["element", None, ["requirement"]])
+    def test_unknown_domain_rejected(self, domain):
+        for lookup in (lambda: severity_band(domain, "SafetyIssue"), lambda: allowed_categories(domain)):
+            with pytest.raises(ValueError, match="is not a valid Domain"):
+                lookup()
+
 
 class TestDetectionBand:
     @pytest.mark.parametrize(
@@ -134,8 +200,12 @@ class TestDetectionBand:
             assert detection_band(method_class) in BANDS
 
     def test_unknown_class_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             detection_band("VisualInspection")
+        expected = f"unknown control method class 'VisualInspection'; expected one of {CONTROL_METHOD_CLASSES}"
+        assert str(excinfo.value) == expected
+        with pytest.raises(ValueError, match=r"^unknown control method class \['DesignAnalysis'\];"):
+            detection_band(["DesignAnalysis"])
 
 
 class TestBandMechanics:

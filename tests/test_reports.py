@@ -33,7 +33,7 @@ from riskforge import (
     run_procedure,
     write_bundle,
 )
-from riskforge.reports import FMEA_CSV_HEADER, FmeaDocument, PriorityReport, build_fmea_document, emit_artifact
+from riskforge.reports import FMEA_CSV_HEADER, FORMATS, FmeaDocument, PriorityReport, build_fmea_document, emit_artifact
 
 CAMERA_JSON = Path(__file__).resolve().parent.parent / "sample_models" / "camera.json"
 
@@ -213,6 +213,18 @@ class TestOtherFormats:
         bundle = run_procedure(camera_model)
         with pytest.raises(ValueError):
             emit_fmea_document(bundle.component_fmea, "xlsx")
+
+    def test_unknown_format_rejected_before_any_row_is_read(self, camera_model, tmp_path):
+        expected = f"format must be one of {FORMATS}, got 'xml'"
+        # A row with none of the row attributes: reading any cell of it raises AttributeError.
+        unreadable = FmeaDocument(Domain.COMPONENT, (object(),))
+        with pytest.raises(ValueError) as excinfo:
+            emit_artifact("component_fmea", unreadable, "xml")
+        assert str(excinfo.value) == expected
+        with pytest.raises(ValueError) as excinfo:
+            write_bundle(run_procedure(camera_model), tmp_path / "out", "xml")
+        assert str(excinfo.value) == expected
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunProcedure:
