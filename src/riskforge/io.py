@@ -46,7 +46,6 @@ from functools import partial
 from json.decoder import scanstring
 from json.encoder import encode_basestring as _str
 from operator import itemgetter
-from typing import NamedTuple
 
 from .model import (
     Cause,
@@ -559,15 +558,9 @@ class _Reader:
 # turns paths into positions.
 
 
-class _Schema(NamedTuple):
+def _schema(required: tuple[str, ...], optional: tuple[str, ...] = ()) -> tuple[tuple[str, ...], frozenset[str]]:
     """The keys an object must have, in the order missing ones are reported, and the keys it may have."""
-
-    required: tuple[str, ...]
-    allowed: frozenset[str]
-
-
-def _schema(required: tuple[str, ...], optional: tuple[str, ...] = ()) -> _Schema:
-    return _Schema(required, frozenset(required + optional))
+    return required, frozenset(required + optional)
 
 
 _TOP = _schema(("meta", "requirements", "functions", "components", "rf", "fc", "failure_modes"))
@@ -607,7 +600,7 @@ class _Walker:
     def fail(self, path: Path, code: str, detail: str, key: str | None = None) -> None:
         self.problems.append((path, key, code, f"{render_path(path)}: {detail}" if path else detail))
 
-    def obj(self, value: object, path: Path, schema: _Schema) -> dict | None:
+    def obj(self, value: object, path: Path, schema: tuple[tuple[str, ...], frozenset[str]]) -> dict | None:
         if not isinstance(value, dict):
             self.fail(path, "Type", "expected an object")
             return None
@@ -678,16 +671,16 @@ def _walk_model(w: _Walker, data: object) -> DesignModel | None:
 
 def _walk_list(w: _Walker, container: dict, key: str, path: Path, sound, walk_item) -> list:
     """Each item of the array at ``container[key]``: built by ``sound``, or else walked by ``walk_item``."""
-    values = container[key]
-    if type(values) is not list:
-        w.fail(path + (key,), "Type", "expected an array")
+    path = path + (key,)
+    values = w.array(container[key], path)
+    if values is None:
         return []
     items = []
     for index, value in enumerate(values):
         try:
             items.append(sound(value))
         except (_Miss, KeyError, _FieldError):
-            item = walk_item(w, value, path + (key, index))
+            item = walk_item(w, value, path + (index,))
             if item is not None:
                 items.append(item)
     return items
@@ -815,19 +808,19 @@ _sound_edge = partial(_sound_pair, MappingEdge)
 
 
 def _sound_requirement(value: object) -> Requirement:
-    if type(value) is not dict or not _REQUIREMENT.allowed.issuperset(value):
+    if type(value) is not dict or not _REQUIREMENT[1].issuperset(value):
         raise _Miss
     return Requirement(value["id"], value["text"])
 
 
 def _sound_flow(value: object) -> Flow:
-    if type(value) is not dict or not _FLOW.allowed.issuperset(value):
+    if type(value) is not dict or not _FLOW[1].issuperset(value):
         raise _Miss
     return Flow(value["description"], value["kind"])
 
 
 def _sound_function(value: object) -> Function:
-    if type(value) is not dict or not _FUNCTION.allowed.issuperset(value):
+    if type(value) is not dict or not _FUNCTION[1].issuperset(value):
         raise _Miss
     inputs = _sound_all(_sound_flow, value["inputs"]) if "inputs" in value else ()
     outputs = _sound_all(_sound_flow, value["outputs"]) if "outputs" in value else ()
@@ -835,7 +828,7 @@ def _sound_function(value: object) -> Function:
 
 
 def _sound_component(value: object) -> Component:
-    if type(value) is not dict or not _COMPONENT.allowed.issuperset(value):
+    if type(value) is not dict or not _COMPONENT[1].issuperset(value):
         raise _Miss
     if type(value.get("concept", "")) is not str:
         raise _Miss
@@ -843,7 +836,7 @@ def _sound_component(value: object) -> Component:
 
 
 def _sound_effect(value: object) -> Effect:
-    if type(value) is not dict or not _EFFECT.allowed.issuperset(value):
+    if type(value) is not dict or not _EFFECT[1].issuperset(value):
         raise _Miss
     if type(value.get("severity_class", "")) is not str or type(value.get("severity_rank", 0)) is not int:
         raise _Miss
@@ -851,7 +844,7 @@ def _sound_effect(value: object) -> Effect:
 
 
 def _sound_cause(value: object) -> Cause:
-    if type(value) is not dict or not _CAUSE.allowed.issuperset(value):
+    if type(value) is not dict or not _CAUSE[1].issuperset(value):
         raise _Miss
     if type(value.get("occurrence_rank", 0)) is not int:
         raise _Miss
@@ -860,7 +853,7 @@ def _sound_cause(value: object) -> Cause:
 
 
 def _sound_control(value: object) -> ControlPlan:
-    if type(value) is not dict or not _CONTROL.allowed.issuperset(value):
+    if type(value) is not dict or not _CONTROL[1].issuperset(value):
         raise _Miss
     if type(value.get("method_text", "")) is not str or type(value.get("detection_rank", 0)) is not int:
         raise _Miss
@@ -868,7 +861,7 @@ def _sound_control(value: object) -> ControlPlan:
 
 
 def _sound_failure_mode(value: object) -> FailureMode:
-    if type(value) is not dict or not _FAILURE_MODE.allowed.issuperset(value):
+    if type(value) is not dict or not _FAILURE_MODE[1].issuperset(value):
         raise _Miss
     effects = _sound_all(_sound_effect, value["effects"]) if "effects" in value else ()
     causes = _sound_all(_sound_cause, value["causes"]) if "causes" in value else ()

@@ -917,6 +917,14 @@ class TestInlineWalkMatchesReportingWalk:
         assert isinstance(_outcome(parse_model, text), tuple)
         assert _outcome(parse_model, text) == _reporting_route(text)
 
+    def test_pairs_of_three_items(self):
+        data = json.loads(CAMERA_JSON.read_text(encoding="utf-8"))
+        data["rf"].append(data["rf"][0] + data["rf"][0][1:])
+        next(fm for fm in data["failure_modes"] if fm.get("causes"))["causes"][0]["frequency"] = [1, 50, 3]
+        text = json.dumps(data, indent=2)
+        assert [e.code for e in errors_of(text)] == ["InvalidValue", "InvalidValue"]
+        assert _outcome(parse_model, text) == _reporting_route(text)
+
 
 class TestThreadSafety:
     def test_threads_share_the_decoder(self):
