@@ -1,9 +1,11 @@
 """Severity, occurrence, and detection reasoning over a design model.
 
-One engine rates a model. ``rating_table`` resolves each failure mode's own
-ratings once; ``_propagate_max`` then carries severity forward (requirements
-to functions to components) and occurrence and detection, which originate
-at components, backward along the two mapping matrices, each as a maximum.
+One engine rates a model. ``rating_table`` takes each failure mode's own
+ratings from ``rating.own_ratings``, the one copy of the rank rules, which
+validation checks through the same function. ``_propagate_max`` then
+carries severity forward (requirements to functions to components) and
+occurrence and detection, which originate at components, backward along
+the two mapping matrices, each as a maximum.
 Propagation is two strata in each direction, so cycles cannot arise, and
 tolerant: the public entry points raise for the first unrated leaf of the
 ratings they need.
@@ -26,9 +28,8 @@ from .model import (
     element_domain,
     element_text,
     get_failure_mode,
-    is_valid_rank,
 )
-from .rating import detection_band, occurrence_band, rpn, severity_band
+from .rating import own_ratings, rpn
 
 
 class AnalysisError(Exception):
@@ -101,43 +102,24 @@ class TraceChain:
 
 
 def resolve_fm_severity(model: DesignModel, fm: FailureMode) -> int | None:
-    """Worst severity over the failure mode's rated effects, or None.
-
-    An explicit rank wins over a class; a class alone contributes its
-    band maximum. Unrated or unresolvable effects contribute nothing.
-    """
-    entry = model.elements_by_id.get(fm.element)
-    domain = entry[0] if entry is not None else None
-    ranks: list[int] = []
-    for effect in fm.effects:
-        if is_valid_rank(effect.severity_rank):
-            ranks.append(effect.severity_rank)
-        elif effect.severity_class is not None and domain is not None:
-            try:
-                ranks.append(severity_band(domain, effect.severity_class).hi)
-            except ValueError:
-                continue
-    return max(ranks) if ranks else None
+    """Worst severity over the failure mode's rated effects, or None (``rating.own_ratings``)."""
+    return own_ratings(_fm_domain(model, fm), fm, [])[0]
 
 
 def resolve_fm_occurrence(fm: FailureMode) -> int | None:
-    """Worst occurrence over the failure mode's rated causes, or None."""
-    ranks: list[int] = []
-    for cause in fm.causes:
-        if is_valid_rank(cause.occurrence_rank):
-            ranks.append(cause.occurrence_rank)
-        elif cause.frequency is not None:
-            ranks.append(occurrence_band(cause.frequency).hi)
-    return max(ranks) if ranks else None
+    """Worst occurrence over the failure mode's rated causes, or None (``rating.own_ratings``)."""
+    return own_ratings(None, fm, [])[1]
 
 
 def resolve_fm_detection(fm: FailureMode) -> int | None:
-    """Detection rank of the failure mode's control plan, or None."""
-    if fm.control is None:
-        return None
-    if is_valid_rank(fm.control.detection_rank):
-        return fm.control.detection_rank
-    return detection_band(fm.control.method_class).hi
+    """Detection rank of the failure mode's control plan, or None (``rating.own_ratings``)."""
+    return own_ratings(None, fm, [])[2]
+
+
+def _fm_domain(model: DesignModel, fm: FailureMode) -> Domain | None:
+    """The class of the failure mode's element, or None if it names none."""
+    entry = model.elements_by_id.get(fm.element)
+    return entry[0] if entry is not None else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,20 +154,21 @@ def _propagate_max(seeds: tuple[dict[str, int], ...], steps) -> dict[str, int]:
 
 
 def rating_table(model: DesignModel) -> RatingTable:
-    """Resolve every failure mode once, then propagate tolerantly: unrated
+    """Rate every failure mode once, then propagate tolerantly: unrated
     failure modes contribute nothing. Occurrence and detection originate at
     components only."""
     component_ids = {component.id for component in model.components}
+    elements = model.elements_by_id
     ratings = []
     seeds: tuple[dict[str, int], ...] = ({}, {}, {})
     unrated: tuple[dict[str, str], ...] = ({}, {}, {})
+    problems: list = []  # the structural stage reports these; unread here
     for fm in model.failure_modes:
+        entry = elements.get(fm.element)
+        own = own_ratings(None if entry is None else entry[0], fm, problems)
         on_component = fm.element in component_ids
-        own = (
-            resolve_fm_severity(model, fm),
-            resolve_fm_occurrence(fm) if on_component else None,
-            resolve_fm_detection(fm),
-        )
+        if not on_component:
+            own = (own[0], None, own[2])
         ratings.append(own)
         for kind in (0, 1, 2) if on_component else (0,):
             if own[kind] is None:

@@ -1,10 +1,15 @@
-"""Rank bands and the RPN formula.
+"""Rank bands, the rules that rate one failure mode, and the RPN formula.
 
 Three 1..10 ranking scales share the same five bands (9-10, 7-8, 5-6, 2-4,
 1). Occurrence bands are keyed by exact failure frequency, severity bands
 by a per-domain consequence class, and detection bands by the class of
 control method. Analysts may pick any rank inside a band; when only the
 band is known, the band maximum is the conservative representative.
+
+``own_ratings`` holds the only copy of the rules that turn a failure mode's
+effects, causes and control plan into its own severity, occurrence and
+detection, and of the findings those rules raise. Structural validation
+files the findings; the rating table keeps the ratings.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from fractions import Fraction
 from .model import (
     CONTROL_METHOD_CLASSES,
     Domain,
+    FailureMode,
     Frequency,
     _by_domain,
     is_valid_rank,
@@ -153,6 +159,88 @@ def detection_band(method_class: str) -> RankBand:
             f"unknown control method class {method_class!r};"
             f" expected one of {CONTROL_METHOD_CLASSES}"
         ) from None
+
+
+#: A finding on one failure mode: its path below the failure mode, its code and its message.
+Problem = tuple[tuple[str | int, ...], str, str]
+
+
+def own_ratings(
+    domain: Domain | None, fm: FailureMode, problems: list[Problem]
+) -> tuple[int | None, int | None, int | None]:
+    """A failure mode's own (severity, occurrence, detection), read from its
+    effects, causes and control plan; None where nothing is rated.
+
+    Each is the maximum over the items rated on its scale. An item's valid
+    rank wins; otherwise the band maximum of its severity class (in
+    ``domain``, the owning element's, None when unknown), frequency or
+    control method class stands in. A given rank outside 1..10 and an
+    in-range rank outside its band are appended to ``problems``, as are a
+    severity class that is no class at all or none of ``domain``'s.
+    Occurrence is read from every failure mode's causes; only the caller
+    knows whether it counts.
+    """
+    occurrence = None
+    for j, cause in enumerate(fm.causes):
+        band = None
+        if cause.frequency is not None:
+            try:
+                band = occurrence_band(cause.frequency)
+            except (ArithmeticError, TypeError, ValueError):
+                pass  # not a positive rate, so no band: the cause counts by its rank alone
+        rank = cause.occurrence_rank
+        if rank is not None:
+            mismatch = "occurrence rank {rank} is outside band {band} for frequency {item.frequency}"
+            rank = _given_rank(problems, ("causes", j, "occurrence_rank"), rank, band, mismatch, cause)
+        if rank is None and band is not None:
+            rank = band.hi
+        if rank is not None and (occurrence is None or rank > occurrence):
+            occurrence = rank
+
+    severity = None
+    for j, effect in enumerate(fm.effects):
+        band = None
+        name = effect.severity_class
+        if name is not None:
+            path = ("effects", j, "severity_class")
+            if not isinstance(name, str) or name not in ALL_SEVERITY_CLASS_NAMES:
+                problems.append((path, "UnknownSeverityClass", f'"{name}" is not a severity class'))
+            elif domain is not None:
+                band = _SEVERITY_BANDS[domain].get(name)
+                if band is None:
+                    message = f'severity class "{name}" is not valid for {domain.value} elements'
+                    problems.append((path, "SeverityClassDomainMismatch", message))
+        rank = effect.severity_rank
+        if rank is not None:
+            mismatch = 'severity rank {rank} is outside band {band} for class "{item.severity_class}"'
+            rank = _given_rank(problems, ("effects", j, "severity_rank"), rank, band, mismatch, effect)
+        if rank is None and band is not None:
+            rank = band.hi
+        if rank is not None and (severity is None or rank > severity):
+            severity = rank
+
+    control = fm.control
+    if control is None:
+        return severity, occurrence, None
+    band = _DETECTION_BANDS[control.method_class]
+    detection = control.detection_rank
+    if detection is not None:
+        mismatch = 'detection rank {rank} is outside band {band} for control class "{item.method_class}"'
+        detection = _given_rank(problems, ("control", "detection_rank"), detection, band, mismatch, control)
+    return severity, occurrence, band.hi if detection is None else detection
+
+
+def _given_rank(
+    problems: list[Problem], path: tuple[str | int, ...], rank: object, band: RankBand | None, mismatch: str, item
+) -> int | None:
+    """``rank`` if it is valid, else None; a problem for a rank out of range or outside its band
+    (``mismatch`` formatted with the rank, the band and the rated item)."""
+    if not is_valid_rank(rank):
+        problems.append((path, "RankOutOfRange", f"rank must be an integer in 1..10, got {rank!r}"))
+        return None
+    if band is not None and not band.lo <= rank <= band.hi:
+        problems.append((path, "RankBandMismatch", mismatch.format(rank=rank, band=band, item=item)))
+    return rank
 
 
 def rpn(severity: int, occurrence: int, detection: int) -> int:

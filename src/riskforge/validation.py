@@ -5,7 +5,9 @@ each anchored to a path into the model (the same paths the file format
 uses, so parse-stage reporting can point at bytes). Two strictness levels
 separate "the model is well-formed" from "the model is complete enough to
 analyze"; models are usually authored incrementally, so missing ratings
-are only errors at the second level.
+are only errors at the second level. The rank checks (range, band, severity
+class) are ``rating.own_ratings``'s findings, filed here under each failure
+mode; the rating table reads its ratings from the same function.
 """
 
 from __future__ import annotations
@@ -13,21 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import analysis as _analysis
-from .model import (
-    ALL_CATEGORY_NAMES,
-    DesignModel,
-    Domain,
-    allowed_categories,
-    is_valid_rank,
-)
-from .rating import (
-    ALL_SEVERITY_CLASS_NAMES,
-    SEVERITY_CLASSES,
-    RankBand,
-    detection_band,
-    occurrence_band,
-    severity_band,
-)
+from .analysis import _fm_domain
+from .model import ALL_CATEGORY_NAMES, DesignModel, Domain, allowed_categories
+from .rating import Problem, own_ratings
 
 STRUCTURAL = "structural"
 ANALYSIS_READY = "analysis-ready"
@@ -203,11 +193,6 @@ def _check_edges(model: DesignModel, findings: list[Finding]) -> None:
             seen.add(pair)
 
 
-def _fm_domain(model: DesignModel, fm) -> Domain | None:
-    entry = model.elements_by_id.get(fm.element)
-    return entry[0] if entry is not None else None
-
-
 def _check_failure_modes(model: DesignModel, findings: list[Finding]) -> None:
     for index, fm in enumerate(model.failure_modes):
         base: Path = ("failure_modes", index)
@@ -237,68 +222,10 @@ def _check_failure_modes(model: DesignModel, findings: list[Finding]) -> None:
                 base + ("category",),
             )
 
-        for j, cause in enumerate(fm.causes):
-            if cause.occurrence_rank is not None:
-                _check_rank(
-                    findings,
-                    "occurrence",
-                    cause.occurrence_rank,
-                    None if cause.frequency is None else occurrence_band(cause.frequency),
-                    f"frequency {cause.frequency}",
-                    base + ("causes", j, "occurrence_rank"),
-                )
-
-        for j, effect in enumerate(fm.effects):
-            band = None
-            if effect.severity_class is not None:
-                class_path = base + ("effects", j, "severity_class")
-                if effect.severity_class not in ALL_SEVERITY_CLASS_NAMES:
-                    _error(
-                        findings,
-                        "UnknownSeverityClass",
-                        f'"{effect.severity_class}" is not a severity class',
-                        class_path,
-                    )
-                elif domain is not None:
-                    if effect.severity_class not in SEVERITY_CLASSES[domain]:
-                        _error(
-                            findings,
-                            "SeverityClassDomainMismatch",
-                            f'severity class "{effect.severity_class}" is not valid'
-                            f" for {domain.value} elements",
-                            class_path,
-                        )
-                    else:
-                        band = severity_band(domain, effect.severity_class)
-            if effect.severity_rank is not None:
-                _check_rank(
-                    findings,
-                    "severity",
-                    effect.severity_rank,
-                    band,
-                    f'class "{effect.severity_class}"',
-                    base + ("effects", j, "severity_rank"),
-                )
-
-        if fm.control is not None and fm.control.detection_rank is not None:
-            _check_rank(
-                findings,
-                "detection",
-                fm.control.detection_rank,
-                detection_band(fm.control.method_class),
-                f'control class "{fm.control.method_class}"',
-                base + ("control", "detection_rank"),
-            )
-
-
-def _check_rank(
-    findings: list[Finding], scale: str, rank: object, band: RankBand | None, basis: str, path: Path
-) -> None:
-    """Range-check a given rank, then check it against its band when it has one."""
-    if not is_valid_rank(rank):
-        _error(findings, "RankOutOfRange", f"rank must be an integer in 1..10, got {rank!r}", path)
-    elif band is not None and rank not in band:
-        _error(findings, "RankBandMismatch", f"{scale} rank {rank} is outside band {band} for {basis}", path)
+        problems: list[Problem] = []
+        own_ratings(domain, fm, problems)
+        for subpath, code, message in problems:
+            _error(findings, code, message, base + subpath)
 
 
 def _check_warnings(model: DesignModel, findings: list[Finding]) -> None:

@@ -296,15 +296,22 @@ class TestOnePassPerStage:
         (validation, "_check_analysis_ready"),
         (analysis, "rating_table"),
     )
+    # The rank rules, bound by name in both modules that call them; counted together.
+    RANK_RULES = ((validation, "own_ratings"), (analysis, "own_ratings"))
 
     @pytest.mark.parametrize(
-        "argv, models",
-        [(["analyze", "MODEL"], 1), (["validate", "MODEL", "--analysis-ready"], 1), (["diff", "MODEL", "MODEL"], 2)],
-        ids=["analyze", "validate", "diff"],
+        "argv, models, rated",
+        [
+            (["analyze", "MODEL"], 1, True),
+            (["validate", "MODEL", "--analysis-ready"], 1, True),
+            (["diff", "MODEL", "MODEL"], 2, True),
+            (["validate", "MODEL"], 1, False),
+        ],
+        ids=["analyze", "validate", "diff", "validate-structural"],
     )
-    def test_each_check_and_the_rating_table_run_once_per_model(self, argv, models, camera_path, monkeypatch):
+    def test_each_check_and_the_rating_table_run_once_per_model(self, argv, models, rated, camera_path, monkeypatch):
         calls = Counter()
-        for module, name in self.COUNTED:
+        for module, name in self.COUNTED + self.RANK_RULES:
 
             def counted(*args, _call=getattr(module, name), _name=name):
                 calls[_name] += 1
@@ -312,7 +319,13 @@ class TestOnePassPerStage:
 
             monkeypatch.setattr(module, name, counted)
         assert main([camera_path if arg == "MODEL" else arg for arg in argv]) == 0
-        assert calls == {name: models for _, name in self.COUNTED}
+        expected = {name: models for _, name in self.COUNTED}
+        if not rated:
+            expected.update(_check_analysis_ready=0, rating_table=0)
+        # Once per failure mode in parse's structural stage, and once more in the rating table.
+        failure_modes = len(make_camera_model().failure_modes)
+        own_ratings = failure_modes * models * (2 if rated else 1)
+        assert calls == Counter(expected, own_ratings=own_ratings)
 
 
 class TestDiagnostics:

@@ -1,9 +1,13 @@
 """Validator findings: structural soundness and analysis readiness."""
 
 import dataclasses
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import FREQUENCY_POOL, random_model
 from riskforge import (
     ANALYSIS_READY,
     Cause,
@@ -18,8 +22,15 @@ from riskforge import (
     Meta,
     Requirement,
     STRUCTURAL,
+    ValidationFailed,
+    detection_band,
+    occurrence_band,
+    run_procedure,
+    severity_band,
     validate_model,
 )
+from riskforge.analysis import rating_table
+from riskforge.rating import ALL_SEVERITY_CLASS_NAMES, SEVERITY_CLASSES
 
 
 def codes(report, severity=None):
@@ -204,6 +215,98 @@ class TestStructuralErrors:
         report = validate_model(model, STRUCTURAL)
         assert codes(report, "error") == ["RankBandMismatch"]
         assert report.errors[0].message == 'detection rank 9 is outside band 1 for control class "RealLifeProductTest"'
+
+
+    def test_unhashable_severity_class_is_an_unknown_class(self, camera_model):
+        # A library caller's Effect may hold any value; the parser only ever passes a string.
+        fm = camera_model.failure_modes[0]
+        effect = dataclasses.replace(fm.effects[0], severity_class=["SafetyIssue"])
+        model = replace_fm(camera_model, fm.id, effects=(effect,) + fm.effects[1:])
+        expected = (
+            "UnknownSeverityClass",
+            "\"['SafetyIssue']\" is not a severity class",
+            "failure_modes[0].effects[0].severity_class",
+        )
+        for strictness in (STRUCTURAL, ANALYSIS_READY):
+            report = validate_model(model, strictness)
+            assert [(f.code, f.message, f.path_str) for f in report.errors] == [expected]
+        with pytest.raises(ValidationFailed):
+            run_procedure(model)
+
+
+RANK_CODES = {"UnknownSeverityClass", "SeverityClassDomainMismatch", "RankOutOfRange", "RankBandMismatch"}
+
+# (items, slot, the item's rank) for each slot a rated item has; a control plan is one item.
+RATED_SLOTS = (
+    ("effects", "severity_rank", "severity_rank"),
+    ("effects", "severity_class", "severity_rank"),
+    ("causes", "occurrence_rank", "occurrence_rank"),
+    ("causes", "frequency", "occurrence_rank"),
+    ("control", "detection_rank", "detection_rank"),
+)
+
+# Ranks in and out of every band, every domain's classes, frequencies in every band, and values
+# only a library caller can pass.
+SLOT_VALUES = st.one_of(
+    st.integers(1, 10),
+    st.sampled_from(sorted(ALL_SEVERITY_CLASS_NAMES)),
+    st.sampled_from([Frequency(*pair) for pair in FREQUENCY_POOL]),
+    st.sampled_from([0, 11, -1, True, 3.5, "x", [1], None, "Terrible", ["SafetyIssue"]]),
+)
+
+
+def _is_rank(value):
+    return type(value) is int and 1 <= value <= 10
+
+
+def _sound(item, slot, domain):
+    """Whether ``item`` should raise no rank finding, from the band tables alone."""
+    if isinstance(item, Effect):
+        name, rank = item.severity_class, item.severity_rank
+        if name is not None and (not isinstance(name, str) or name not in SEVERITY_CLASSES[domain]):
+            return False
+        band = None if name is None else severity_band(domain, name)
+    elif isinstance(item, Cause):
+        frequency, rank = item.frequency, item.occurrence_rank
+        if slot == "frequency" and frequency is not None and not isinstance(frequency, Frequency):
+            return False
+        band = None if frequency is None else occurrence_band(frequency)
+    else:
+        band, rank = detection_band(item.method_class), item.detection_rank
+    return rank is None or (_is_rank(rank) and (band is None or rank in band))
+
+
+class TestRankFindingsProperty:
+    @given(seed=st.integers(0, 2**32 - 1), slot=st.sampled_from(RATED_SLOTS), value=SLOT_VALUES, data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_replaced_slot_raises_rank_findings_only_there(self, seed, slot, value, data):
+        items, field, rank_field = slot
+        model = random_model(random.Random(seed), connected=True)
+        holders = [
+            (index, fm)
+            for index, fm in enumerate(model.failure_modes)
+            if (fm.control is not None if items == "control" else getattr(fm, items))
+        ]
+        index, fm = data.draw(st.sampled_from(holders))
+        if items == "control":
+            item = dataclasses.replace(fm.control, **{field: value})
+            fm = dataclasses.replace(fm, control=item)
+            where = ("failure_modes", index, "control")
+        else:
+            j = data.draw(st.integers(0, len(getattr(fm, items)) - 1))
+            item = dataclasses.replace(getattr(fm, items)[j], **{field: value})
+            fm = dataclasses.replace(fm, **{items: getattr(fm, items)[:j] + (item,) + getattr(fm, items)[j + 1 :]})
+            where = ("failure_modes", index, items, j)
+        failure_modes = model.failure_modes[:index] + (fm,) + model.failure_modes[index + 1 :]
+        model = dataclasses.replace(model, failure_modes=failure_modes)
+
+        rating_table(model)
+        sound = _sound(item, field, model.elements_by_id[fm.element][0])
+        for strictness in (STRUCTURAL, ANALYSIS_READY):
+            found = [f.path for f in validate_model(model, strictness).findings if f.code in RANK_CODES]
+            assert set(found) <= {where + (field,), where + (rank_field,)}
+            if sound:
+                assert found == []
 
 
 class TestWarnings:
