@@ -126,7 +126,12 @@ def _fm_domain(model: DesignModel, fm: FailureMode) -> Domain | None:
 class RatingTable:
     """Own (severity, occurrence, detection) per failure mode, in model order,
     the three propagated maps, and per rating each element's first unrated
-    failure mode (occurrence and detection on components only)."""
+    failure mode (occurrence and detection on components only).
+
+    Occurrence originates at components only: the own occurrence of a
+    failure mode off a component is kept but never read, since its row
+    takes the propagated value.
+    """
 
     ratings: tuple[tuple[int | None, int | None, int | None], ...]
     severity: dict[str, int]
@@ -167,8 +172,6 @@ def rating_table(model: DesignModel) -> RatingTable:
         entry = elements.get(fm.element)
         own = own_ratings(None if entry is None else entry[0], fm, problems)
         on_component = fm.element in component_ids
-        if not on_component:
-            own = (own[0], None, own[2])
         ratings.append(own)
         for kind in (0, 1, 2) if on_component else (0,):
             if own[kind] is None:

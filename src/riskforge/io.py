@@ -61,6 +61,7 @@ from .model import (
     Meta,
     Requirement,
     _FieldError,
+    _SURROGATE,
 )
 from .validation import Path, _structural_errors, render_path
 
@@ -471,7 +472,7 @@ class _Reader:
                 return "".join(pieces)
             if "\ud800" <= ch <= "\udfff":
                 # Recoverable, like a lone surrogate escape: no UTF-8 form.
-                self.errors.append((end, "Syntax", f"unpaired surrogate character '\\u{ord(ch):04x}'"))
+                self.errors.append((end, "Syntax", f"{_SURROGATE} '\\u{ord(ch):04x}'"))
                 pieces.append(ch)
                 self.pos += 1
                 continue
@@ -642,12 +643,17 @@ class _Walker:
         return value
 
     def build(self, cls, path: Path, *values):
-        """``cls(*values)``, or None after filing each problem the constructor reports."""
+        """``cls(*values)``, or None after filing each problem the constructor reports.
+
+        A lone surrogate is left out: only the reader lets one through, and
+        it has reported it already at its character.
+        """
         try:
             return cls(*values)
         except _FieldError as exc:
             for field, code, detail in exc.problems:
-                self.fail(path if field is None else path + (field,), code, detail)
+                if not detail.startswith(_SURROGATE):
+                    self.fail(path if field is None else path + (field,), code, detail)
             return None
 
 

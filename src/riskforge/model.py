@@ -139,8 +139,28 @@ def _check(value: object, *problems: tuple | None) -> None:
         raise _FieldError(type(value).__name__, [problem for problem in problems if problem])
 
 
+_SURROGATE = "unpaired surrogate character"
+
+
+def _surrogate(field: str, value: object) -> tuple | None:
+    """A str holding a lone surrogate, which has no UTF-8 form, so no model file or
+    artifact could hold it; worded as the parser's reader words it. Anything else passes."""
+    if not isinstance(value, str) or value.isascii():
+        return None
+    try:
+        value.encode()
+    except UnicodeEncodeError as exc:
+        return field, "InvalidValue", f"{_SURROGATE} '\\u{ord(value[exc.start]):04x}'"
+    return None
+
+
 def _string(field: str, value: object) -> tuple | None:
     return None if isinstance(value, str) else (field, "Type", "expected a string")
+
+
+def _utf8(field: str, value: object) -> tuple | None:
+    """Any string that has a UTF-8 form."""
+    return _string(field, value) or _surrogate(field, value)
 
 
 def _id(field: str | int, value: object) -> tuple | None:
@@ -152,7 +172,7 @@ def _id(field: str | int, value: object) -> tuple | None:
 def _text(field: str, value: object) -> tuple | None:
     """Prose: a string with at least one non-blank character."""
     if isinstance(value, str) and value.strip():
-        return None
+        return None if value.isascii() else _surrogate(field, value)
     return _string(field, value) or (field, "EmptyText", "must not be empty")
 
 
@@ -176,7 +196,7 @@ class Meta:
     version: str
 
     def __post_init__(self) -> None:
-        _check(self, _string("product", self.product), _string("version", self.version))
+        _check(self, _utf8("product", self.product), _utf8("version", self.version))
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,7 +218,7 @@ class Flow:
     kind: str
 
     def __post_init__(self) -> None:
-        _check(self, _string("description", self.description), _choice("kind", self.kind, FLOW_KINDS, "flow kind"))
+        _check(self, _utf8("description", self.description), _choice("kind", self.kind, FLOW_KINDS, "flow kind"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,7 +250,7 @@ class Component:
     concept: str | None = None
 
     def __post_init__(self) -> None:
-        _check(self, _id("id", self.id), _text("name", self.name))
+        _check(self, _id("id", self.id), _text("name", self.name), _surrogate("concept", self.concept))
 
 
 @dataclass(frozen=True, slots=True)
@@ -289,7 +309,7 @@ class Effect:
     severity_rank: int | None = None
 
     def __post_init__(self) -> None:
-        _check(self, _text("text", self.text))
+        _check(self, _text("text", self.text), _surrogate("severity_class", self.severity_class))
 
 
 @dataclass(frozen=True, slots=True)
@@ -301,7 +321,8 @@ class ControlPlan:
     detection_rank: int | None = None
 
     def __post_init__(self) -> None:
-        _check(self, _choice("method_class", self.method_class, CONTROL_METHOD_CLASSES, "control method class"))
+        method_class = _choice("method_class", self.method_class, CONTROL_METHOD_CLASSES, "control method class")
+        _check(self, method_class, _surrogate("method_text", self.method_text))
 
 
 @dataclass(frozen=True, slots=True)

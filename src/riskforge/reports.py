@@ -14,12 +14,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, fields
-from functools import partial
 from operator import attrgetter
 from pathlib import Path as FsPath
 
 from .analysis import AnalysisResult, RpnRow, _prioritize
-from .io import _array, _object, _scalar, _str
+from .io import _scalar, _str
 from .model import DesignModel, Domain, element_text
 from .validation import ANALYSIS_READY, Finding, ValidationReport, _complete, _structural_errors
 
@@ -163,33 +162,42 @@ def risk_consequence_report(
 def build_fmea_document(model: DesignModel, result: AnalysisResult, domain: Domain) -> FmeaDocument:
     """Assemble one domain's worksheet from prioritized analysis rows."""
     domain = Domain(domain)
-    rows = tuple(
-        _fmea_row(model, row) for row in result.rows if row.domain is domain
-    )
-    return FmeaDocument(domain=domain, rows=rows)
+    return FmeaDocument(domain, _fmea_rows(model, [row for row in result.rows if row.domain is domain]))
 
 
-def _fmea_row(model: DesignModel, row: RpnRow) -> FmeaRow:
-    fm = model.failure_modes_by_id[row.fm_id]
-    if fm.control is not None:
-        control = fm.control.method_text or fm.control.method_class
-    else:
-        control = "-"
-    return FmeaRow(
-        element_id=row.element_id,
-        element_text=element_text(model, row.element_id),
-        fm_id=fm.id,
-        category=fm.category,
-        description=fm.description,
-        effects="; ".join(effect.text for effect in fm.effects),
-        severity=row.severity,
-        causes="; ".join(cause.text for cause in fm.causes),
-        occurrence=row.occurrence,
-        control=control,
-        detection=row.detection,
-        rpn=row.rpn,
-        rank_position=row.rank_position,
-    )
+def _worksheets(model: DesignModel, result: AnalysisResult) -> dict[Domain, FmeaDocument]:
+    """``build_fmea_document`` for every domain, from one pass over the rows."""
+    grouped: dict[Domain, list[RpnRow]] = {domain: [] for domain in Domain}
+    for row in result.rows:
+        grouped[row.domain].append(row)
+    return {domain: FmeaDocument(domain, _fmea_rows(model, rows)) for domain, rows in grouped.items()}
+
+
+_TEXT = attrgetter("text")
+
+
+def _fmea_rows(model: DesignModel, rows: list[RpnRow]) -> tuple[FmeaRow, ...]:
+    failure_modes = model.failure_modes_by_id
+    out = []
+    for row in rows:
+        fm = failure_modes[row.fm_id]
+        control = fm.control
+        out.append(FmeaRow(
+            row.element_id,
+            element_text(model, row.element_id),
+            fm.id,
+            fm.category,
+            fm.description,
+            "; ".join(map(_TEXT, fm.effects)),
+            row.severity,
+            "; ".join(map(_TEXT, fm.causes)),
+            row.occurrence,
+            "-" if control is None else control.method_text or control.method_class,
+            row.detection,
+            row.rpn,
+            row.rank_position,
+        ))
+    return tuple(out)
 
 
 def run_procedure(model: DesignModel, *, propagate_detection: bool = True) -> ArtifactBundle:
@@ -211,12 +219,13 @@ def _run_procedure(model: DesignModel, errors: list[Finding], propagate_detectio
         raise ValidationFailed(report)
 
     result = _prioritize(model, table, propagate_detection)
+    worksheets = _worksheets(model, result)
     return ArtifactBundle(
         requirement_priority=risk_consequence_report(model, result.severity, Domain.REQUIREMENT),
         function_priority=risk_consequence_report(model, result.severity, Domain.FUNCTION),
-        component_fmea=build_fmea_document(model, result, Domain.COMPONENT),
-        function_fmea=build_fmea_document(model, result, Domain.FUNCTION),
-        requirement_fmea=build_fmea_document(model, result, Domain.REQUIREMENT),
+        component_fmea=worksheets[Domain.COMPONENT],
+        function_fmea=worksheets[Domain.FUNCTION],
+        requirement_fmea=worksheets[Domain.REQUIREMENT],
         validation=report,
     )
 
@@ -224,52 +233,98 @@ def _run_procedure(model: DesignModel, errors: list[Finding], propagate_detectio
 # ---------------------------------------------------------------------------
 # Emission. CSV quoting follows RFC 4180 (fields with commas, quotes, or
 # newlines are wrapped, embedded quotes doubled); json is written row by row
-# with the model writer's helpers; every format ends with a trailing newline.
+# as ``json.dumps(..., indent=2, ensure_ascii=False)`` writes it; every
+# format ends with a trailing newline. Each row is joined once in C; only a
+# row whose joined text shows a cell needing quotes or escapes is redone
+# cell by cell.
+
+def _json_row(header: tuple[str, ...]) -> list[str | None]:
+    """The text of a json row around its values, which go in the odd slots."""
+    pieces: list[str | None] = []
+    for opening, name in zip(["\n    {\n      "] + [",\n      "] * (len(header) - 1), header):
+        pieces += [opening + _str(name) + ": ", None]
+    return pieces + ["\n    }"]
+
 
 #: One layout per artifact kind: its header, whose names are also the json
 #: row keys; the row attributes, which the row dataclasses declare in header
-#: order; and each header name written once as a json member prefix.
+#: order; and the json row text around the values.
 _LAYOUTS = {
-    kind: (header, attrgetter(*(field.name for field in fields(row))), tuple(_str(name) + ": " for name in header))
+    kind: (header, attrgetter(*(field.name for field in fields(row))), _json_row(header))
     for kind, header, row in (
         (FmeaDocument, FMEA_CSV_HEADER, FmeaRow), (PriorityReport, PRIORITY_CSV_HEADER, PriorityRow)
     )
 }
+
+#: A json cell's writer by its type; any other type goes through ``_scalar``.
+_JSON_CELLS = {str: _str, int: int.__repr__, type(None): lambda value: "null"}
 
 
 def _md_escape(cell: str) -> str:
     return cell.replace("|", "\\|").replace("\n", " ")
 
 
+def _text_cells(values, rows):
+    """Each row's cells, with "-" for no value; the writers ``str`` them."""
+    for cells in map(values, rows):
+        yield ["-" if value is None else value for value in cells] if None in cells else cells
+
+
 def _emit(artifact: PriorityReport | FmeaDocument, format: str, stamp: str | None) -> str:
     """Render any artifact in any format from its kind's layout."""
     _check_format(format)
-    header, values, keys = _LAYOUTS[type(artifact)]
+    header, values, json_row = _LAYOUTS[type(artifact)]
     if format == "json":
         members = ['"provenance": ' + _scalar(stamp)] if stamp else []
-        out = ["{\n  " + ",\n  ".join([*members, '"domain": ' + _str(artifact.domain.value), '"rows": '])]
-        rows = [[key + _scalar(value) for key, value in zip(keys, values(row))] for row in artifact.rows]
-        _array(out, rows, partial(_object, depth=2), 1)
-        out.append("\n}\n")
-        return "".join(out)
-    cell_rows = [["-" if value is None else str(value) for value in values(row)] for row in artifact.rows]
+        head = "{\n  " + ",\n  ".join([*members, '"domain": ' + _str(artifact.domain.value), '"rows": ['])
+        cell = _JSON_CELLS.get
+        pieces = list(json_row)
+        rows = []
+        for cells in map(values, artifact.rows):
+            # str.join sizes each row once; %-formatting grows and then
+            # shrinks it, which left ~1 MB more heap behind a bulk job.
+            pieces[1::2] = [cell(type(value), _scalar)(value) for value in cells]
+            rows.append("".join(pieces))
+        if not rows:
+            return head + "]\n}\n"
+        rows[0] = head + rows[0]
+        rows[-1] += "\n  ]\n}\n"
+        return ",".join(rows)
+    separators = len(header) - 1
     if format == "csv":
         buffer = io.StringIO()
         if stamp:
             buffer.write(f"# {stamp}\n")
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(cell_rows)
+        for cells in _text_cells(values, artifact.rows):
+            # With only the separators' commas and no quote or line break,
+            # no cell needs quoting and the writer would write the line as
+            # joined; a "\r" goes to the writer, as some Python versions
+            # quote it.
+            line = ",".join(map(str, cells))
+            if line.count(",") == separators and '"' not in line and "\r" not in line and "\n" not in line:
+                buffer.write(line + "\n")
+            else:
+                writer.writerow(map(str, cells))
         return buffer.getvalue()
-    # md
-    lines = []
-    if stamp:
-        lines.append(f"<!-- {stamp} -->")
+    # md: the separators hold exactly len(header) - 1 pipes, so a row needs
+    # escaping if and only if its joined text holds more, or a newline.
+    lines = [f"<!-- {stamp} -->"] if stamp else []
     lines.append("| " + " | ".join(header) + " |")
     lines.append("|" + "|".join(" --- " for _ in header) + "|")
-    for cells in cell_rows:
-        lines.append("| " + " | ".join(_md_escape(c) for c in cells) + " |")
-    return "\n".join(lines) + "\n"
+    head = "\n".join(lines) + "\n"
+    rows = []
+    for cells in _text_cells(values, artifact.rows):
+        line = " | ".join(map(str, cells))
+        if line.count("|") != separators or "\n" in line:
+            line = " | ".join([_md_escape(str(cell)) for cell in cells])
+        rows.append(line)
+    if not rows:
+        return head
+    rows[0] = head + "| " + rows[0]
+    rows[-1] += " |\n"
+    return " |\n| ".join(rows)
 
 
 def _check_format(format: str) -> None:

@@ -166,6 +166,20 @@ class TestSyntaxErrors:
             f"line 3, column 45: unpaired surrogate character '\\u{ord(half):04x}' [Syntax]"
         ]
 
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            ('"widget"', '"wid\udc80get"'),
+            ('"name": "doer"', '"name": "doer", "concept": "\udc80"'),
+            ('"noun": "thing"', '"noun": "thing", "inputs": [{"description": "\udc80", "kind": "energy"}]'),
+        ],
+    )
+    def test_raw_surrogate_is_reported_once(self, before, after):
+        # The constructors reject the character too; the reader has already
+        # reported it where it stands.
+        errors = errors_of(MINIMAL.replace(before, after, 1))
+        assert [(e.code, e.message) for e in errors] == [("Syntax", "unpaired surrogate character '\\udc80'")]
+
     def test_deep_unknown_value_before_a_later_bad_id(self):
         # The stdlib decoder gives up on the nesting; so does its scanner when
         # the unknown key's value is skipped to reach the requirements.

@@ -150,6 +150,31 @@ class TestConstructionRules:
         with pytest.raises(ValueError):
             Effect(" ")
 
+    @pytest.mark.parametrize(
+        "cls, args, field",
+        [
+            (Meta, ("p\udc80", "1"), "product"),
+            (Meta, ("p", "\udc80"), "version"),
+            (Requirement, ("r1", "x\udc80"), "text"),
+            (Flow, ("signal \udc80", "information"), "description"),
+            (Function, ("f1", "do", "th\udc80ng"), "noun"),
+            (Component, ("c1", "part", "conc\udc80pt"), "concept"),
+            (Cause, ("why \udc80",), "text"),
+            (Effect, ("bad", "Safety\udc80"), "severity_class"),
+            (ControlPlan, ("DesignAnalysis", "m\u00e9thode \udc80"), "method_text"),
+            (FailureMode, ("fm1", "c1", "Damaged", "broken \udc80"), "description"),
+        ],
+    )
+    def test_lone_surrogate_rejected(self, cls, args, field):
+        # It has no UTF-8 form, so no model file or artifact could hold it.
+        with pytest.raises(ValueError) as excinfo:
+            cls(*args)
+        assert excinfo.value.problems == [(field, "InvalidValue", "unpaired surrogate character '\\udc80'")]
+
+    def test_surrogate_pair_and_non_ascii_text_accepted(self):
+        assert Requirement("r1", "caf\u00e9 \U0001f600").text == "caf\u00e9 \U0001f600"
+        assert Component("c1", "part", "\U0001f600").concept == "\U0001f600"
+
     def test_values_are_immutable(self, camera_model):
         with pytest.raises(dataclasses.FrozenInstanceError):
             camera_model.requirements[0].text = "changed"

@@ -1,10 +1,12 @@
 """Artifact assembly and byte-exact emission."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,9 +35,23 @@ from riskforge import (
     run_procedure,
     write_bundle,
 )
-from riskforge.reports import FMEA_CSV_HEADER, FORMATS, FmeaDocument, PriorityReport, build_fmea_document, emit_artifact
+from riskforge.reports import (
+    FMEA_CSV_HEADER,
+    FORMATS,
+    PRIORITY_CSV_HEADER,
+    FmeaDocument,
+    FmeaRow,
+    PriorityReport,
+    PriorityRow,
+    build_fmea_document,
+    emit_artifact,
+)
 
 CAMERA_JSON = Path(__file__).resolve().parent.parent / "sample_models" / "camera.json"
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+
+import gen  # noqa: E402
 
 
 class TestRiskConsequenceReport:
@@ -133,8 +149,6 @@ class TestCsvEmission:
     def test_empty_document_is_header_only(self, camera_model):
         result = analyze(camera_model)
         empty = build_fmea_document(camera_model, result, Domain.COMPONENT)
-        import dataclasses
-
         empty = dataclasses.replace(empty, rows=())
         text = emit_fmea_document(empty)
         assert text == ",".join(FMEA_CSV_HEADER) + "\n"
@@ -225,6 +239,58 @@ class TestOtherFormats:
             write_bundle(run_procedure(camera_model), tmp_path / "out", "xml")
         assert str(excinfo.value) == expected
         assert not (tmp_path / "out").exists()
+
+
+# Library-built artifacts: any cell may hold any scalar. The text draws
+# favour what the csv, md and json escapes act on.
+CELL_TEXT = st.text(st.sampled_from(',"\r\n|\\ -aé€😀') | st.characters(blacklist_categories=("Cs",)), max_size=6)
+CELLS = st.one_of(st.none(), CELL_TEXT, st.integers(), st.booleans(), st.floats())
+
+
+def _artifacts(kind, row, width):
+    rows = st.lists(st.lists(CELLS, min_size=width, max_size=width).map(lambda cells: row(*cells)), max_size=4)
+    return st.builds(kind, st.sampled_from(Domain), rows.map(tuple))
+
+
+ARTIFACTS = _artifacts(FmeaDocument, FmeaRow, 13) | _artifacts(PriorityReport, PriorityRow, 4)
+
+
+class TestEmittersMatchPerCellReferences:
+    """Each format against a reference that renders one cell at a time."""
+
+    @given(artifact=ARTIFACTS, stamp=st.none() | CELL_TEXT)
+    @settings(max_examples=60, deadline=None)
+    def test_every_format(self, artifact, stamp):
+        header = FMEA_CSV_HEADER if type(artifact) is FmeaDocument else PRIORITY_CSV_HEADER
+        rows = [dataclasses.astuple(row) for row in artifact.rows]
+        texts = [["-" if value is None else str(value) for value in row] for row in rows]
+
+        buffer = io.StringIO()
+        if stamp:
+            buffer.write(f"# {stamp}\n")
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(texts)
+        assert emit_artifact("any", artifact, "csv", stamp) == buffer.getvalue()
+
+        lines = [f"<!-- {stamp} -->"] if stamp else []
+        lines.append("| " + " | ".join(header) + " |")
+        lines.append("|" + "|".join([" --- "] * len(header)) + "|")
+        for row in texts:
+            lines.append("| " + " | ".join(cell.replace("|", "\\|").replace("\n", " ") for cell in row) + " |")
+        assert emit_artifact("any", artifact, "md", stamp) == "\n".join(lines) + "\n"
+
+        document = {"provenance": stamp} if stamp else {}
+        document |= {"domain": artifact.domain.value, "rows": [dict(zip(header, row)) for row in rows]}
+        assert emit_artifact("any", artifact, "json", stamp) == json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_a_container_cell_is_no_json_scalar(self, data):
+        cells = [data.draw(CELLS) for _ in PRIORITY_CSV_HEADER]
+        cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(st.sampled_from([[], [1], {}, {"a": 1}, ()]))
+        with pytest.raises(TypeError):
+            emit_artifact("any", PriorityReport(Domain.FUNCTION, (PriorityRow(*cells),)), "json")
 
 
 class TestRunProcedure:
@@ -410,6 +476,27 @@ CAMERA_STAMPED_DIGESTS = {
 }
 
 
+# The first 16 hex digits of the sha256 of each artifact, in `documents()`
+# order, of the bench's bulk model with seed 11 and 200 elements per class,
+# whose odd words ("a, b", 'the "seal"', "in|out", "C:\\path", non-ASCII)
+# pass through every csv, md and json escape. Keyed by (detection
+# propagation, stamped, format); the stamp is CAMERA_STAMP.
+GENERATED_DIGESTS = {
+    (True, False, "csv"): ("b426073eec9f255e", "43f3598a2be5f50a", "a99fe55227781245", "9487e58c355859b1", "15c4c03283476583"),
+    (True, False, "md"): ("bea8275e8b51991c", "9a349a6e1ade9e33", "80183b4a3f05d0dc", "69528d096f9c6509", "09cb15d6c7a86c86"),
+    (True, False, "json"): ("1fa86c1b4d67cf65", "c30e1ddf50d71c90", "3ecdd128cb3e177b", "fab9670e003c01cc", "5c904ca0d3b8aee4"),
+    (True, True, "csv"): ("7f59b7a185590038", "6d2765a4db098f4f", "00e7eca89a5469e7", "174282745f4ab67a", "ff86de2fe02f5e84"),
+    (True, True, "md"): ("cbcba83ec0065f9a", "dad130019f8d0175", "9a7da30e3abbbe53", "40edecc0d87c38ef", "78e7c0485f4f24df"),
+    (True, True, "json"): ("eaec20cf68f5e245", "13209e622f1622ce", "e7d3c3fac80588db", "4623b6f961f3906e", "dadf3d6968aed5d1"),
+    (False, False, "csv"): ("b426073eec9f255e", "43f3598a2be5f50a", "ea9b8d0d5706f3d0", "4419c33ecf918e3c", "99e3fc3c1975e685"),
+    (False, False, "md"): ("bea8275e8b51991c", "9a349a6e1ade9e33", "938891472780f0ab", "55d170d812af2fbc", "3572776046d0bb67"),
+    (False, False, "json"): ("1fa86c1b4d67cf65", "c30e1ddf50d71c90", "89a4b98773cea321", "e63c1d362601a0ea", "ed5bdf244820a6ee"),
+    (False, True, "csv"): ("7f59b7a185590038", "6d2765a4db098f4f", "14121971af925b6d", "062089b401f88c74", "fd6dadebe376d85c"),
+    (False, True, "md"): ("cbcba83ec0065f9a", "dad130019f8d0175", "084a71022b87be52", "b5cc91fd111f5e5b", "c88bc0b2c82d0604"),
+    (False, True, "json"): ("eaec20cf68f5e245", "13209e622f1622ce", "1972dc0881180c58", "3ba4d6262c2ffbbc", "ada15c2fb3329225"),
+}
+
+
 class TestGoldenBytes:
     def test_camera_artifacts_keep_their_bytes(self):
         model = parse_model(CAMERA_JSON.read_text(encoding="utf-8"))
@@ -430,3 +517,16 @@ class TestGoldenBytes:
             for name, artifact in bundle.documents()
         }
         assert digests == CAMERA_STAMPED_DIGESTS
+
+    def test_generated_artifacts_keep_their_bytes(self):
+        model = parse_model(gen.canonical(gen.bulk_model(11, n=200)[0]))
+        digests = {}
+        for propagate in (True, False):
+            documents = run_procedure(model, propagate_detection=propagate).documents()
+            for stamp in (None, CAMERA_STAMP):
+                for fmt in FORMATS:
+                    digests[propagate, stamp is not None, fmt] = tuple(
+                        hashlib.sha256(emit_artifact(name, artifact, fmt, stamp).encode("utf-8")).hexdigest()[:16]
+                        for name, artifact in documents
+                    )
+        assert digests == GENERATED_DIGESTS
