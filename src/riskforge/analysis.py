@@ -25,6 +25,7 @@ from .model import (
     DesignModel,
     Domain,
     FailureMode,
+    _slot_setters,
     element_domain,
     element_text,
     get_failure_mode,
@@ -52,7 +53,7 @@ class MissingDetection(AnalysisError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RpnRow:
     """One prioritized failure mode with its three ranks and RPN.
 
@@ -70,8 +71,33 @@ class RpnRow:
     rpn: int
     rank_position: int
 
+    def __init__(
+        self,
+        fm_id: str,
+        element_id: str,
+        domain: Domain,
+        severity: int,
+        occurrence: int,
+        detection: int | None,
+        rpn: int,
+        rank_position: int,
+    ) -> None:
+        (set_fm_id, set_element_id, set_domain, set_severity,
+         set_occurrence, set_detection, set_rpn, set_rank) = _RPN_ROW_SLOTS
+        set_fm_id(self, fm_id)
+        set_element_id(self, element_id)
+        set_domain(self, domain)
+        set_severity(self, severity)
+        set_occurrence(self, occurrence)
+        set_detection(self, detection)
+        set_rpn(self, rpn)
+        set_rank(self, rank_position)
 
-@dataclass(frozen=True, slots=True)
+
+_RPN_ROW_SLOTS = _slot_setters(RpnRow)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class AnalysisResult:
     """Propagated rank maps plus one prioritized row per failure mode."""
 
@@ -80,8 +106,20 @@ class AnalysisResult:
     detection: dict[str, int]
     rows: tuple[RpnRow, ...]
 
+    def __init__(
+        self, severity: dict[str, int], occurrence: dict[str, int], detection: dict[str, int], rows: tuple[RpnRow, ...]
+    ) -> None:
+        set_severity, set_occurrence, set_detection, set_rows = _ANALYSIS_RESULT_SLOTS
+        set_severity(self, severity)
+        set_occurrence(self, occurrence)
+        set_detection(self, detection)
+        set_rows(self, rows)
 
-@dataclass(frozen=True, slots=True)
+
+_ANALYSIS_RESULT_SLOTS = _slot_setters(AnalysisResult)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class TraceHop:
     """One element on a trace, with one of its failure modes if it has any."""
 
@@ -89,8 +127,17 @@ class TraceHop:
     failure_mode_id: str | None
     text: str
 
+    def __init__(self, element_id: str, failure_mode_id: str | None, text: str) -> None:
+        set_element_id, set_failure_mode_id, set_text = _TRACE_HOP_SLOTS
+        set_element_id(self, element_id)
+        set_failure_mode_id(self, failure_mode_id)
+        set_text(self, text)
 
-@dataclass(frozen=True, slots=True)
+
+_TRACE_HOP_SLOTS = _slot_setters(TraceHop)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class TraceChain:
     """Single-hop adjacency walk from a failure mode, up toward effects
     or down toward causes. Hops for the same element stay adjacent;
@@ -99,6 +146,14 @@ class TraceChain:
 
     direction: str
     hops: tuple[TraceHop, ...]
+
+    def __init__(self, direction: str, hops: tuple[TraceHop, ...]) -> None:
+        set_direction, set_hops = _TRACE_CHAIN_SLOTS
+        set_direction(self, direction)
+        set_hops(self, hops)
+
+
+_TRACE_CHAIN_SLOTS = _slot_setters(TraceChain)
 
 
 def resolve_fm_severity(model: DesignModel, fm: FailureMode) -> int | None:
@@ -122,7 +177,7 @@ def _fm_domain(model: DesignModel, fm: FailureMode) -> Domain | None:
     return entry[0] if entry is not None else None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RatingTable:
     """Own (severity, occurrence, detection) per failure mode, in model order,
     the three propagated maps, and per rating each element's first unrated
@@ -138,6 +193,24 @@ class RatingTable:
     occurrence: dict[str, int]
     detection: dict[str, int]
     unrated: tuple[dict[str, str], dict[str, str], dict[str, str]]
+
+    def __init__(
+        self,
+        ratings: tuple[tuple[int | None, int | None, int | None], ...],
+        severity: dict[str, int],
+        occurrence: dict[str, int],
+        detection: dict[str, int],
+        unrated: tuple[dict[str, str], dict[str, str], dict[str, str]],
+    ) -> None:
+        set_ratings, set_severity, set_occurrence, set_detection, set_unrated = _RATING_TABLE_SLOTS
+        set_ratings(self, ratings)
+        set_severity(self, severity)
+        set_occurrence(self, occurrence)
+        set_detection(self, detection)
+        set_unrated(self, unrated)
+
+
+_RATING_TABLE_SLOTS = _slot_setters(RatingTable)
 
 
 def _propagate_max(seeds: tuple[dict[str, int], ...], steps) -> dict[str, int]:

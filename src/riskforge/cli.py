@@ -259,10 +259,37 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
+        code = _dispatch(argv)
+        sys.stdout.flush()  # here, so a reader that has gone away is met here, not at exit
+    except BrokenPipeError:
+        # stdout's reader closed it (``riskforge analyze MODEL | head -1``): an I/O error.
+        # What is still buffered goes to os.devnull, so the flush at exit cannot fail again
+        # (the recipe in the note on SIGPIPE in Python's signal docs).
+        _stdout_to_devnull()
+        return EXIT_USAGE
+    return code
+
+
+def _dispatch(argv: list[str] | None) -> int:
+    try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     return args.handler(args)
+
+
+def _stdout_to_devnull() -> None:
+    """Point stdout's file descriptor at os.devnull, when it has one (a caller's
+    in-memory stream has none, and nothing to flush at exit)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -62,11 +62,12 @@ from .model import (
     Requirement,
     _FieldError,
     _SURROGATE,
+    _slot_setters,
 )
 from .validation import Path, _structural_errors, render_path
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ParseError:
     """One problem in a model document, located by line and column."""
 
@@ -75,8 +76,18 @@ class ParseError:
     code: str
     message: str
 
+    def __init__(self, line: int, column: int, code: str, message: str) -> None:
+        set_line, set_column, set_code, set_message = _PARSE_ERROR_SLOTS
+        set_line(self, line)
+        set_column(self, column)
+        set_code(self, code)
+        set_message(self, message)
+
     def __str__(self) -> str:
         return f"line {self.line}, column {self.column}: {self.message} [{self.code}]"
+
+
+_PARSE_ERROR_SLOTS = _slot_setters(ParseError)
 
 
 class ParseFailure(Exception):

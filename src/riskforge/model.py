@@ -16,7 +16,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 
 
@@ -188,40 +187,68 @@ def _integer(field: int, value: object) -> tuple | None:
     return None
 
 
-@dataclass(frozen=True, slots=True)
+def _slot_setters(cls: type) -> tuple:
+    """The ``__set__`` of each field slot of a slotted record, in field order.
+
+    A record's own ``__init__`` checks its arguments, then fills each slot
+    once through these: they write past the frozen ``__setattr__`` with no
+    lookup by name, and no constructor is generated at import.
+    """
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Meta:
     """Product name and model version carried alongside the design."""
 
     product: str
     version: str
 
-    def __post_init__(self) -> None:
-        _check(self, _utf8("product", self.product), _utf8("version", self.version))
+    def __init__(self, product: str, version: str) -> None:
+        _check(self, _utf8("product", product), _utf8("version", version))
+        set_product, set_version = _META_SLOTS
+        set_product(self, product)
+        set_version(self, version)
 
 
-@dataclass(frozen=True, slots=True)
+_META_SLOTS = _slot_setters(Meta)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Requirement:
     """A customer-facing need the product is inspected against."""
 
     id: str
     text: str
 
-    def __post_init__(self) -> None:
-        _check(self, _id("id", self.id), _text("text", self.text))
+    def __init__(self, id: str, text: str) -> None:
+        _check(self, _id("id", id), _text("text", text))
+        set_id, set_text = _REQUIREMENT_SLOTS
+        set_id(self, id)
+        set_text(self, text)
 
 
-@dataclass(frozen=True, slots=True)
+_REQUIREMENT_SLOTS = _slot_setters(Requirement)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Flow:
     """A material, energy, or information stream into or out of a function."""
 
     description: str
     kind: str
 
-    def __post_init__(self) -> None:
-        _check(self, _utf8("description", self.description), _choice("kind", self.kind, FLOW_KINDS, "flow kind"))
+    def __init__(self, description: str, kind: str) -> None:
+        _check(self, _utf8("description", description), _choice("kind", kind, FLOW_KINDS, "flow kind"))
+        set_description, set_kind = _FLOW_SLOTS
+        set_description(self, description)
+        set_kind(self, kind)
 
 
-@dataclass(frozen=True, slots=True)
+_FLOW_SLOTS = _slot_setters(Flow)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Function:
     """A design intent phrased as verb plus noun, with optional flows."""
 
@@ -231,17 +258,26 @@ class Function:
     inputs: tuple[Flow, ...] = ()
     outputs: tuple[Flow, ...] = ()
 
-    def __post_init__(self) -> None:
-        _check(self, _id("id", self.id), _text("verb", self.verb), _text("noun", self.noun))
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
+    def __init__(
+        self, id: str, verb: str, noun: str, inputs: tuple[Flow, ...] = (), outputs: tuple[Flow, ...] = ()
+    ) -> None:
+        _check(self, _id("id", id), _text("verb", verb), _text("noun", noun))
+        set_id, set_verb, set_noun, set_inputs, set_outputs = _FUNCTION_SLOTS
+        set_id(self, id)
+        set_verb(self, verb)
+        set_noun(self, noun)
+        set_inputs(self, tuple(inputs))
+        set_outputs(self, tuple(outputs))
 
     @property
     def text(self) -> str:
         return f"{self.verb} {self.noun}"
 
 
-@dataclass(frozen=True, slots=True)
+_FUNCTION_SLOTS = _slot_setters(Function)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Component:
     """A concrete solution concept chosen to achieve one or more functions."""
 
@@ -249,22 +285,35 @@ class Component:
     name: str
     concept: str | None = None
 
-    def __post_init__(self) -> None:
-        _check(self, _id("id", self.id), _text("name", self.name), _surrogate("concept", self.concept))
+    def __init__(self, id: str, name: str, concept: str | None = None) -> None:
+        _check(self, _id("id", id), _text("name", name), _surrogate("concept", concept))
+        set_id, set_name, set_concept = _COMPONENT_SLOTS
+        set_id(self, id)
+        set_name(self, name)
+        set_concept(self, concept)
 
 
-@dataclass(frozen=True, slots=True)
+_COMPONENT_SLOTS = _slot_setters(Component)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class MappingEdge:
     """One binary mapping entry; an edge present means the matrix cell is 1."""
 
     source: str
     target: str
 
-    def __post_init__(self) -> None:
-        _check(self, _id(0, self.source), _id(1, self.target))
+    def __init__(self, source: str, target: str) -> None:
+        _check(self, _id(0, source), _id(1, target))
+        set_source, set_target = _MAPPING_EDGE_SLOTS
+        set_source(self, source)
+        set_target(self, target)
 
 
-@dataclass(frozen=True, slots=True)
+_MAPPING_EDGE_SLOTS = _slot_setters(MappingEdge)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Frequency:
     """An exact failures-per-opportunities rate.
 
@@ -276,19 +325,28 @@ class Frequency:
     numerator: int
     denominator: int
 
-    def __post_init__(self) -> None:
-        _check(self, _integer(0, self.numerator), _integer(1, self.denominator))
-        if self.numerator < 1 or self.denominator < 1:
+    def __init__(self, numerator: int, denominator: int) -> None:
+        _check(self, _integer(0, numerator), _integer(1, denominator))
+        if numerator < 1 or denominator < 1:
             _check(self, (None, "InvalidValue", "frequency integers must be positive"))
+        set_numerator, set_denominator = _FREQUENCY_SLOTS
+        set_numerator(self, numerator)
+        set_denominator(self, denominator)
 
     def as_fraction(self) -> Fraction:
+        # Imported here: parse, validation and analysis compare frequencies in integers.
+        from fractions import Fraction
+
         return Fraction(self.numerator, self.denominator)
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
 
 
-@dataclass(frozen=True, slots=True)
+_FREQUENCY_SLOTS = _slot_setters(Frequency)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Cause:
     """A reason that can produce a failure mode, optionally rated for occurrence."""
 
@@ -296,11 +354,20 @@ class Cause:
     occurrence_rank: int | None = None
     frequency: Frequency | None = None
 
-    def __post_init__(self) -> None:
-        _check(self, _text("text", self.text))
+    def __init__(self, text: str, occurrence_rank: int | None = None, frequency: Frequency | None = None) -> None:
+        # Only a Frequency is rated as a rate: a float, a bool or a Fraction would be too, silently.
+        not_rate = frequency is not None and not isinstance(frequency, Frequency)
+        _check(self, _text("text", text), ("frequency", "Type", "expected a frequency") if not_rate else None)
+        set_text, set_occurrence_rank, set_frequency = _CAUSE_SLOTS
+        set_text(self, text)
+        set_occurrence_rank(self, occurrence_rank)
+        set_frequency(self, frequency)
 
 
-@dataclass(frozen=True, slots=True)
+_CAUSE_SLOTS = _slot_setters(Cause)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Effect:
     """A negative impact of a failure mode, optionally rated for severity."""
 
@@ -308,11 +375,18 @@ class Effect:
     severity_class: str | None = None
     severity_rank: int | None = None
 
-    def __post_init__(self) -> None:
-        _check(self, _text("text", self.text), _surrogate("severity_class", self.severity_class))
+    def __init__(self, text: str, severity_class: str | None = None, severity_rank: int | None = None) -> None:
+        _check(self, _text("text", text), _surrogate("severity_class", severity_class))
+        set_text, set_severity_class, set_severity_rank = _EFFECT_SLOTS
+        set_text(self, text)
+        set_severity_class(self, severity_class)
+        set_severity_rank(self, severity_rank)
 
 
-@dataclass(frozen=True, slots=True)
+_EFFECT_SLOTS = _slot_setters(Effect)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ControlPlan:
     """How a failure cause is currently detected, optionally rated."""
 
@@ -320,12 +394,19 @@ class ControlPlan:
     method_text: str | None = None
     detection_rank: int | None = None
 
-    def __post_init__(self) -> None:
-        method_class = _choice("method_class", self.method_class, CONTROL_METHOD_CLASSES, "control method class")
-        _check(self, method_class, _surrogate("method_text", self.method_text))
+    def __init__(self, method_class: str, method_text: str | None = None, detection_rank: int | None = None) -> None:
+        choice = _choice("method_class", method_class, CONTROL_METHOD_CLASSES, "control method class")
+        _check(self, choice, _surrogate("method_text", method_text))
+        set_method_class, set_method_text, set_detection_rank = _CONTROL_PLAN_SLOTS
+        set_method_class(self, method_class)
+        set_method_text(self, method_text)
+        set_detection_rank(self, detection_rank)
 
 
-@dataclass(frozen=True, slots=True)
+_CONTROL_PLAN_SLOTS = _slot_setters(ControlPlan)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class FailureMode:
     """One way an element fails, with its causes, effects, and control plan."""
 
@@ -337,14 +418,32 @@ class FailureMode:
     effects: tuple[Effect, ...] = ()
     control: ControlPlan | None = None
 
-    def __post_init__(self) -> None:
-        ids = _id("id", self.id), _id("element", self.element)
-        _check(self, *ids, _text("category", self.category), _text("description", self.description))
-        object.__setattr__(self, "causes", tuple(self.causes))
-        object.__setattr__(self, "effects", tuple(self.effects))
+    def __init__(
+        self,
+        id: str,
+        element: str,
+        category: str,
+        description: str,
+        causes: tuple[Cause, ...] = (),
+        effects: tuple[Effect, ...] = (),
+        control: ControlPlan | None = None,
+    ) -> None:
+        ids = _id("id", id), _id("element", element)
+        _check(self, *ids, _text("category", category), _text("description", description))
+        set_id, set_element, set_category, set_description, set_causes, set_effects, set_control = _FAILURE_MODE_SLOTS
+        set_id(self, id)
+        set_element(self, element)
+        set_category(self, category)
+        set_description(self, description)
+        set_causes(self, tuple(causes))
+        set_effects(self, tuple(effects))
+        set_control(self, control)
 
 
-@dataclass(frozen=True, eq=True)
+_FAILURE_MODE_SLOTS = _slot_setters(FailureMode)
+
+
+@dataclass(frozen=True, eq=True, init=False)
 class DesignModel:
     """A complete design: elements, the two mappings, and all failure modes.
 
@@ -362,9 +461,24 @@ class DesignModel:
     fc: tuple[MappingEdge, ...] = ()
     failure_modes: tuple[FailureMode, ...] = ()
 
-    def __post_init__(self) -> None:
-        for name in ("requirements", "functions", "components", "rf", "fc", "failure_modes"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+    def __init__(
+        self,
+        meta: Meta,
+        requirements: tuple[Requirement, ...] = (),
+        functions: tuple[Function, ...] = (),
+        components: tuple[Component, ...] = (),
+        rf: tuple[MappingEdge, ...] = (),
+        fc: tuple[MappingEdge, ...] = (),
+        failure_modes: tuple[FailureMode, ...] = (),
+    ) -> None:
+        # No slots (the indexes below live in __dict__), so no slot setters either.
+        object.__setattr__(self, "meta", meta)
+        object.__setattr__(self, "requirements", tuple(requirements))
+        object.__setattr__(self, "functions", tuple(functions))
+        object.__setattr__(self, "components", tuple(components))
+        object.__setattr__(self, "rf", tuple(rf))
+        object.__setattr__(self, "fc", tuple(fc))
+        object.__setattr__(self, "failure_modes", tuple(failure_modes))
 
     # Lookup caches assume unique ids; on models with duplicates they keep
     # the first occurrence, which is what the validator reports against.

@@ -15,7 +15,6 @@ files the findings; the rating table keeps the ratings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .model import (
     CONTROL_METHOD_CLASSES,
@@ -23,20 +22,24 @@ from .model import (
     FailureMode,
     Frequency,
     _by_domain,
+    _slot_setters,
     is_valid_rank,
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RankBand:
     """An inclusive range of ranks on the 1..10 scale."""
 
     lo: int
     hi: int
 
-    def __post_init__(self) -> None:
-        if not (is_valid_rank(self.lo) and is_valid_rank(self.hi) and self.lo <= self.hi):
-            raise ValueError(f"invalid rank band {self.lo}..{self.hi}")
+    def __init__(self, lo: int, hi: int) -> None:
+        if not (is_valid_rank(lo) and is_valid_rank(hi) and lo <= hi):
+            raise ValueError(f"invalid rank band {lo}..{hi}")
+        set_lo, set_hi = _RANK_BAND_SLOTS
+        set_lo(self, lo)
+        set_hi(self, hi)
 
     def __contains__(self, rank: object) -> bool:
         return is_valid_rank(rank) and self.lo <= rank <= self.hi
@@ -44,6 +47,8 @@ class RankBand:
     def __str__(self) -> str:
         return str(self.lo) if self.lo == self.hi else f"{self.lo}-{self.hi}"
 
+
+_RANK_BAND_SLOTS = _slot_setters(RankBand)
 
 BAND_9_10 = RankBand(9, 10)
 BAND_7_8 = RankBand(7, 8)
@@ -112,6 +117,8 @@ def occurrence_band(frequency: Frequency | Fraction) -> RankBand:
         # Its constructor holds both integers positive.
         failures, opportunities = frequency.numerator, frequency.denominator
     else:
+        from fractions import Fraction  # only this branch builds one
+
         value = Fraction(frequency)
         if value <= 0:
             raise ValueError(f"frequency must be positive, got {value}")
@@ -182,12 +189,8 @@ def own_ratings(
     """
     occurrence = None
     for j, cause in enumerate(fm.causes):
-        band = None
-        if cause.frequency is not None:
-            try:
-                band = occurrence_band(cause.frequency)
-            except (ArithmeticError, TypeError, ValueError):
-                pass  # not a positive rate, so no band: the cause counts by its rank alone
+        # Its constructor holds the frequency a Frequency, so it always has a band.
+        band = None if cause.frequency is None else occurrence_band(cause.frequency)
         rank = cause.occurrence_rank
         if rank is not None:
             mismatch = "occurrence rank {rank} is outside band {band} for frequency {item.frequency}"

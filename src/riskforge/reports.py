@@ -19,7 +19,7 @@ from pathlib import Path as FsPath
 
 from .analysis import AnalysisResult, RpnRow, _prioritize
 from .io import _scalar, _str
-from .model import DesignModel, Domain, element_text
+from .model import DesignModel, Domain, _slot_setters, element_text
 from .validation import ANALYSIS_READY, Finding, ValidationReport, _complete, _structural_errors
 
 FMEA_CSV_HEADER = (
@@ -56,7 +56,7 @@ class ValidationFailed(Exception):
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FmeaRow:
     """One worksheet line: the failure mode, its text columns, and ranks."""
 
@@ -74,24 +74,80 @@ class FmeaRow:
     rpn: int
     rank_position: int
 
+    def __init__(
+        self,
+        element_id: str,
+        element_text: str,
+        fm_id: str,
+        category: str,
+        description: str,
+        effects: str,
+        severity: int,
+        causes: str,
+        occurrence: int,
+        control: str,
+        detection: int | None,
+        rpn: int,
+        rank_position: int,
+    ) -> None:
+        (set_element_id, set_element_text, set_fm_id, set_category, set_description, set_effects, set_severity,
+         set_causes, set_occurrence, set_control, set_detection, set_rpn, set_rank) = _FMEA_ROW_SLOTS
+        set_element_id(self, element_id)
+        set_element_text(self, element_text)
+        set_fm_id(self, fm_id)
+        set_category(self, category)
+        set_description(self, description)
+        set_effects(self, effects)
+        set_severity(self, severity)
+        set_causes(self, causes)
+        set_occurrence(self, occurrence)
+        set_control(self, control)
+        set_detection(self, detection)
+        set_rpn(self, rpn)
+        set_rank(self, rank_position)
 
-@dataclass(frozen=True, slots=True)
+
+_FMEA_ROW_SLOTS = _slot_setters(FmeaRow)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class FmeaDocument:
     """The worksheet for one element domain, in overall priority order."""
 
     domain: Domain
     rows: tuple[FmeaRow, ...]
 
+    def __init__(self, domain: Domain, rows: tuple[FmeaRow, ...]) -> None:
+        set_domain, set_rows = _FMEA_DOCUMENT_SLOTS
+        set_domain(self, domain)
+        set_rows(self, rows)
 
-@dataclass(frozen=True, slots=True)
+
+_FMEA_DOCUMENT_SLOTS = _slot_setters(FmeaDocument)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class PriorityRow:
+    """One element of a priority report: its text, its propagated severity
+    (None when unrated) and its 1-based place in the report."""
+
     element_id: str
     element_text: str
     severity: int | None
     position: int
 
+    def __init__(self, element_id: str, element_text: str, severity: int | None, position: int) -> None:
+        set_element_id, set_element_text, set_severity, set_position = _PRIORITY_ROW_SLOTS
+        set_element_id(self, element_id)
+        set_element_text(self, element_text)
+        set_severity(self, severity)
+        set_position(self, position)
 
-@dataclass(frozen=True, slots=True)
+
+_PRIORITY_ROW_SLOTS = _slot_setters(PriorityRow)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class PriorityReport:
     """Elements of one domain ordered by propagated severity.
 
@@ -103,15 +159,44 @@ class PriorityReport:
     rows: tuple[PriorityRow, ...]
     warnings: tuple[str, ...] = ()
 
+    def __init__(self, domain: Domain, rows: tuple[PriorityRow, ...], warnings: tuple[str, ...] = ()) -> None:
+        set_domain, set_rows, set_warnings = _PRIORITY_REPORT_SLOTS
+        set_domain(self, domain)
+        set_rows(self, rows)
+        set_warnings(self, warnings)
 
-@dataclass(frozen=True, slots=True)
+
+_PRIORITY_REPORT_SLOTS = _slot_setters(PriorityReport)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ArtifactBundle:
+    """The five artifacts of one run and the validation report they passed."""
+
     requirement_priority: PriorityReport
     function_priority: PriorityReport
     component_fmea: FmeaDocument
     function_fmea: FmeaDocument
     requirement_fmea: FmeaDocument
     validation: ValidationReport
+
+    def __init__(
+        self,
+        requirement_priority: PriorityReport,
+        function_priority: PriorityReport,
+        component_fmea: FmeaDocument,
+        function_fmea: FmeaDocument,
+        requirement_fmea: FmeaDocument,
+        validation: ValidationReport,
+    ) -> None:
+        (set_requirement_priority, set_function_priority, set_component_fmea,
+         set_function_fmea, set_requirement_fmea, set_validation) = _ARTIFACT_BUNDLE_SLOTS
+        set_requirement_priority(self, requirement_priority)
+        set_function_priority(self, function_priority)
+        set_component_fmea(self, component_fmea)
+        set_function_fmea(self, function_fmea)
+        set_requirement_fmea(self, requirement_fmea)
+        set_validation(self, validation)
 
     def documents(self) -> tuple[tuple[str, PriorityReport | FmeaDocument], ...]:
         return (
@@ -122,6 +207,8 @@ class ArtifactBundle:
             ("fmea_requirement", self.requirement_fmea),
         )
 
+
+_ARTIFACT_BUNDLE_SLOTS = _slot_setters(ArtifactBundle)
 
 def risk_consequence_report(
     model: DesignModel, severity: dict[str, int], domain: Domain

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import analysis as _analysis
 from .analysis import _fm_domain
-from .model import ALL_CATEGORY_NAMES, DesignModel, Domain, allowed_categories
+from .model import ALL_CATEGORY_NAMES, DesignModel, Domain, _slot_setters, allowed_categories
 from .rating import Problem, own_ratings
 
 STRUCTURAL = "structural"
@@ -28,7 +28,7 @@ WARNING = "warning"
 Path = tuple[str | int, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Finding:
     """One validation finding, anchored to a model path."""
 
@@ -36,6 +36,13 @@ class Finding:
     code: str
     message: str
     path: Path
+
+    def __init__(self, severity: str, code: str, message: str, path: Path) -> None:
+        set_severity, set_code, set_message, set_path = _FINDING_SLOTS
+        set_severity(self, severity)
+        set_code(self, code)
+        set_message(self, message)
+        set_path(self, path)
 
     @property
     def path_str(self) -> str:
@@ -45,12 +52,20 @@ class Finding:
         return f"{self.severity}: {self.path_str}: {self.message} [{self.code}]"
 
 
-@dataclass(frozen=True, slots=True)
+_FINDING_SLOTS = _slot_setters(Finding)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ValidationReport:
     """All findings for one model, deterministically ordered."""
 
     strictness: str
     findings: tuple[Finding, ...]
+
+    def __init__(self, strictness: str, findings: tuple[Finding, ...]) -> None:
+        set_strictness, set_findings = _VALIDATION_REPORT_SLOTS
+        set_strictness(self, strictness)
+        set_findings(self, findings)
 
     @property
     def errors(self) -> tuple[Finding, ...]:
@@ -63,6 +78,9 @@ class ValidationReport:
     @property
     def has_errors(self) -> bool:
         return any(f.severity == ERROR for f in self.findings)
+
+
+_VALIDATION_REPORT_SLOTS = _slot_setters(ValidationReport)
 
 
 def render_path(path: Path) -> str:

@@ -8,8 +8,11 @@ through seeds.
 from __future__ import annotations
 
 import dataclasses
+import os
 import random
+from pathlib import Path
 
+import riskforge
 from riskforge import (
     Cause,
     Component,
@@ -419,3 +422,10 @@ def with_random_prose(model: DesignModel, rng: random.Random) -> DesignModel:
         components=tuple(dataclasses.replace(c, name=prose(True), concept=optional()) for c in model.components),
         failure_modes=tuple(failure_mode(fm) for fm in model.failure_modes),
     )
+
+
+def child_env() -> dict[str, str]:
+    """This environment for a child ``python``, with the riskforge these tests import first on its path."""
+    source = str(Path(riskforge.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": source if not path else os.pathsep.join((source, path))}

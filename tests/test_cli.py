@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import subprocess
 import sys
 import tempfile
 from collections import Counter
@@ -13,11 +14,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_camera_model, make_smartphone_model
+from helpers import child_env, make_camera_model, make_smartphone_model
 from riskforge import __version__, analysis, serialize_model, validation
 from riskforge.cli import _parser, main
 
 CAMERA_JSON = Path(__file__).resolve().parent.parent / "sample_models" / "camera.json"
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+
+import gen  # noqa: E402
+
 # camera.json with fm_photo's description holding an unpaired surrogate escape.
 LONE_SURROGATE_CAMERA = CAMERA_JSON.read_bytes().replace(b'"A user cannot take photos",', b'"\\ud800 lone",', 1)
 
@@ -351,6 +357,55 @@ class TestDiagnostics:
         monkeypatch.delenv("RISKFORGE_COLOR", raising=False)
         main(["validate", smartphone_path])
         assert "\x1b[" not in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def large_models(tmp_path_factory):
+    """A star model (3,000 functions) and a bulk model (1,000 elements per class): each command
+    below prints well over a pipe's 64 KiB to stdout from one of them."""
+    work = tmp_path_factory.mktemp("large")
+    paths = {}
+    for name, (data, _) in (("star", gen.star_model(5, degree=3000)), ("bulk", gen.bulk_model(5, n=1000))):
+        paths[name] = work / f"{name}.json"
+        paths[name].write_text(gen.canonical(data), encoding="utf-8")
+    return paths
+
+
+class TestClosedStdout:
+    """``riskforge ... | head -1``: the reader closes stdout after one line. The command ends
+    with the I/O exit code and no traceback, whether its output is one write or many."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{star}", "--format", "md"],
+            ["trace", "{star}", "--fm", "fm_00000", "--direction", "causes"],
+            ["diff", "{bulk}", "{bulk}"],
+        ],
+        ids=["analyze", "trace", "diff"],
+    )
+    def test_exits_two_without_a_traceback(self, argv, large_models, tmp_path):
+        argv = [arg.format(**large_models) for arg in argv]
+        with open(tmp_path / "stderr", "w+b") as stderr:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "riskforge.cli", *argv], stdout=subprocess.PIPE, stderr=stderr, env=child_env()
+            )
+            first = child.stdout.readline()
+            child.stdout.close()
+            code = child.wait(timeout=120)
+            stderr.seek(0)
+            err = stderr.read().decode()
+        assert first
+        assert "Traceback" not in err
+        assert code == 2
+
+    def test_a_stream_without_a_descriptor_is_left_alone(self, camera_path, monkeypatch):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(["trace", camera_path, "--fm", "fm_photo", "--direction", "effects"]) == 2
 
 
 @st.composite

@@ -30,6 +30,7 @@ from riskforge import (
     validate_model,
 )
 from riskforge.analysis import rating_table
+from riskforge.model import _FieldError
 from riskforge.rating import ALL_SEVERITY_CLASS_NAMES, SEVERITY_CLASSES
 
 
@@ -259,7 +260,7 @@ def _is_rank(value):
     return type(value) is int and 1 <= value <= 10
 
 
-def _sound(item, slot, domain):
+def _sound(item, domain):
     """Whether ``item`` should raise no rank finding, from the band tables alone."""
     if isinstance(item, Effect):
         name, rank = item.severity_class, item.severity_rank
@@ -268,8 +269,6 @@ def _sound(item, slot, domain):
         band = None if name is None else severity_band(domain, name)
     elif isinstance(item, Cause):
         frequency, rank = item.frequency, item.occurrence_rank
-        if slot == "frequency" and frequency is not None and not isinstance(frequency, Frequency):
-            return False
         band = None if frequency is None else occurrence_band(frequency)
     else:
         band, rank = detection_band(item.method_class), item.detection_rank
@@ -294,6 +293,12 @@ class TestRankFindingsProperty:
             where = ("failure_modes", index, "control")
         else:
             j = data.draw(st.integers(0, len(getattr(fm, items)) - 1))
+            if field == "frequency" and value is not None and not isinstance(value, Frequency):
+                # Only a Frequency is a rate: the constructor refuses anything else, so no finding is needed.
+                with pytest.raises(_FieldError) as caught:
+                    dataclasses.replace(getattr(fm, items)[j], **{field: value})
+                assert caught.value.problems == [("frequency", "Type", "expected a frequency")]
+                return
             item = dataclasses.replace(getattr(fm, items)[j], **{field: value})
             fm = dataclasses.replace(fm, **{items: getattr(fm, items)[:j] + (item,) + getattr(fm, items)[j + 1 :]})
             where = ("failure_modes", index, items, j)
@@ -301,7 +306,7 @@ class TestRankFindingsProperty:
         model = dataclasses.replace(model, failure_modes=failure_modes)
 
         rating_table(model)
-        sound = _sound(item, field, model.elements_by_id[fm.element][0])
+        sound = _sound(item, model.elements_by_id[fm.element][0])
         for strictness in (STRUCTURAL, ANALYSIS_READY):
             found = [f.path for f in validate_model(model, strictness).findings if f.code in RANK_CODES]
             assert set(found) <= {where + (field,), where + (rank_field,)}
