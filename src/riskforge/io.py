@@ -28,7 +28,10 @@ positive frequencies) is the model constructors'; the walker builds each
 record through its constructor and reports what that rejects. A sound
 record takes an inline path, its shape tested and its constructor called
 directly; only a record that misses is walked again by the reporting
-code, which builds the model path of each problem.
+code, which builds the model path of each problem. The inline path gives
+each reference its element's own id string and each closed-vocabulary
+value the module's constant, and the walk drops each decoded item once its
+record is built, so a large model's decoded tree shrinks as its model grows.
 
 Serialization writes what ``json.dumps(data, indent=2, ensure_ascii=False)``
 gives for the model's plain form (fixed key order, LF endings, trailing
@@ -48,6 +51,9 @@ from json.encoder import encode_basestring as _str
 from operator import itemgetter
 
 from .model import (
+    ALL_CATEGORY_NAMES,
+    CONTROL_METHOD_CLASSES,
+    FLOW_KINDS,
     Cause,
     Component,
     ControlPlan,
@@ -64,6 +70,7 @@ from .model import (
     _SURROGATE,
     _slot_setters,
 )
+from .rating import ALL_SEVERITY_CLASS_NAMES
 from .validation import Path, _structural_errors, render_path
 
 
@@ -677,9 +684,12 @@ def _walk_model(w: _Walker, data: object) -> DesignModel | None:
     requirements = _walk_list(w, top, "requirements", (), _sound_requirement, _walk_requirement)
     functions = _walk_list(w, top, "functions", (), _sound_function, _walk_function)
     components = _walk_list(w, top, "components", (), _sound_component, _walk_component)
-    rf = _walk_list(w, top, "rf", (), _sound_edge, _walk_edge)
-    fc = _walk_list(w, top, "fc", (), _sound_edge, _walk_edge)
-    failure_modes = _walk_list(w, top, "failure_modes", (), _sound_failure_mode, _walk_failure_mode)
+    # Each element's own id object, for the references walked after the elements.
+    ids = {element.id: element.id for elements in (requirements, functions, components) for element in elements}
+    sound_edge = partial(_sound_edge, ids)
+    rf = _walk_list(w, top, "rf", (), sound_edge, _walk_edge)
+    fc = _walk_list(w, top, "fc", (), sound_edge, _walk_edge)
+    failure_modes = _walk_list(w, top, "failure_modes", (), partial(_sound_failure_mode, ids), _walk_failure_mode)
 
     if w.problems or meta is None:
         return None
@@ -687,13 +697,19 @@ def _walk_model(w: _Walker, data: object) -> DesignModel | None:
 
 
 def _walk_list(w: _Walker, container: dict, key: str, path: Path, sound, walk_item) -> list:
-    """Each item of the array at ``container[key]``: built by ``sound``, or else walked by ``walk_item``."""
+    """Each item of the array at ``container[key]``: built by ``sound``, or else walked by ``walk_item``.
+
+    Each decoded item is dropped from the array once taken, so that it is
+    freed as soon as its record is built; a failed parse locates its
+    problems from the text, not from these values.
+    """
     path = path + (key,)
     values = w.array(container[key], path)
     if values is None:
         return []
     items = []
     for index, value in enumerate(values):
+        values[index] = None
         try:
             items.append(sound(value))
         except (_Miss, KeyError, _FieldError):
@@ -803,6 +819,24 @@ def _walk_failure_mode(w: _Walker, value: object, path: Path) -> FailureMode | N
 # is read. A type test reads an absent optional slot as its default:
 # ``type(value.get(key, "")) is str`` holds when the key is absent or a
 # string, and ``type(...) is int`` also rules out bools.
+#
+# A reference (an edge endpoint, a failure mode's element) is given the
+# object of the element id it names, from a table that one walk builds, and
+# a closed-vocabulary value the module's constant, so that a model holds one
+# string per distinct id or token, not one per occurrence. The constructor
+# still checks every value.
+
+#: Each closed-vocabulary token, mapped to the constant the rules hold.
+_VOCABULARY = {
+    name: name
+    for names in (ALL_CATEGORY_NAMES, ALL_SEVERITY_CLASS_NAMES, CONTROL_METHOD_CLASSES, FLOW_KINDS)
+    for name in names
+}
+
+
+def _shared(table: dict[str, str], value: object) -> object:
+    """``table``'s own object for a str it holds, else ``value``; a decoded list or dict is unhashable."""
+    return table.get(value, value) if type(value) is str else value
 
 
 class _Miss(Exception):
@@ -821,7 +855,10 @@ def _sound_pair(cls, pair: object):
     return cls(pair[0], pair[1])
 
 
-_sound_edge = partial(_sound_pair, MappingEdge)
+def _sound_edge(ids: dict[str, str], pair: object) -> MappingEdge:
+    if type(pair) is not list or len(pair) != 2:
+        raise _Miss
+    return MappingEdge(_shared(ids, pair[0]), _shared(ids, pair[1]))
 
 
 def _sound_requirement(value: object) -> Requirement:
@@ -833,7 +870,7 @@ def _sound_requirement(value: object) -> Requirement:
 def _sound_flow(value: object) -> Flow:
     if type(value) is not dict or not _FLOW[1].issuperset(value):
         raise _Miss
-    return Flow(value["description"], value["kind"])
+    return Flow(value["description"], _shared(_VOCABULARY, value["kind"]))
 
 
 def _sound_function(value: object) -> Function:
@@ -857,7 +894,7 @@ def _sound_effect(value: object) -> Effect:
         raise _Miss
     if type(value.get("severity_class", "")) is not str or type(value.get("severity_rank", 0)) is not int:
         raise _Miss
-    return Effect(value["text"], value.get("severity_class"), value.get("severity_rank"))
+    return Effect(value["text"], _shared(_VOCABULARY, value.get("severity_class")), value.get("severity_rank"))
 
 
 def _sound_cause(value: object) -> Cause:
@@ -874,35 +911,46 @@ def _sound_control(value: object) -> ControlPlan:
         raise _Miss
     if type(value.get("method_text", "")) is not str or type(value.get("detection_rank", 0)) is not int:
         raise _Miss
-    return ControlPlan(value["method_class"], value.get("method_text"), value.get("detection_rank"))
+    method_class = _shared(_VOCABULARY, value["method_class"])
+    return ControlPlan(method_class, value.get("method_text"), value.get("detection_rank"))
 
 
-def _sound_failure_mode(value: object) -> FailureMode:
+def _sound_failure_mode(ids: dict[str, str], value: object) -> FailureMode:
     if type(value) is not dict or not _FAILURE_MODE[1].issuperset(value):
         raise _Miss
     effects = _sound_all(_sound_effect, value["effects"]) if "effects" in value else ()
     causes = _sound_all(_sound_cause, value["causes"]) if "causes" in value else ()
     control = _sound_control(value["control"]) if "control" in value else None
-    head = value["id"], value["element"], value["category"], value["description"]
-    return FailureMode(*head, causes, effects, control)
+    element, category = _shared(ids, value["element"]), _shared(_VOCABULARY, value["category"])
+    return FailureMode(value["id"], element, category, value["description"], causes, effects, control)
 
 
 # ---------------------------------------------------------------------------
 # Canonical serialization: one writer per shape, each at its fixed depth. The
-# writers append short pieces to one list, joined once, so that a document
-# builds no container string only to copy it into its parent and drop it.
+# writers append short pieces to one list, so that a document builds no
+# container string only to copy it into its parent and drop it. A top-level
+# array joins each run of about ``_CHUNK`` pieces into one string as it goes,
+# so the list holds a few large strings rather than every small piece until
+# the final join.
 
 #: A newline and the indent of each depth the canonical form reaches.
 _INDENT = tuple("\n" + "  " * depth for depth in range(7))
+
+#: The pieces a top-level array gathers before joining them into one chunk.
+_CHUNK = 64
 
 
 def _array(out: list[str], items: tuple | list, write, depth: int) -> None:
     """Append an array at ``depth`` whose items ``write(out, item)`` appends one level deeper."""
     separator = "[" + _INDENT[depth + 1]
+    start = len(out)
     for item in items:
         out.append(separator)
         write(out, item)
         separator = "," + _INDENT[depth + 1]
+        if depth == 1 and len(out) - start >= _CHUNK:
+            out[start:] = ["".join(out[start:])]
+            start += 1
     out.append(_INDENT[depth] + "]" if items else "[]")
 
 

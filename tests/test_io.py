@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -30,6 +31,8 @@ from riskforge import (
 )
 from riskforge import io as rio
 from riskforge.io import _decode, _Locator, _model_from, _read, _Reader, _SyntaxFailure
+from riskforge.model import ALL_CATEGORY_NAMES, CONTROL_METHOD_CLASSES, FLOW_KINDS
+from riskforge.rating import ALL_SEVERITY_CLASS_NAMES
 
 CAMERA_JSON = Path(__file__).resolve().parent.parent / "sample_models" / "camera.json"
 
@@ -550,11 +553,30 @@ class TestCanonicalWriter:
         with pytest.raises(TypeError):
             serialize_model(model)
 
-    @pytest.mark.parametrize("shape, seed", [("bulk", 1), ("bulk", 2), ("bulk", 3), ("star", 1)])
-    def test_bench_models_keep_their_bytes(self, shape, seed):
+    # A top-level array is joined in chunks of at least ``_CHUNK`` pieces, cut
+    # after an item. An edge writes two pieces, so rf and fc with out-degree 4
+    # end a chunk exactly at ``edge_boundary`` elements per class; a
+    # requirement or a component writes three, so those arrays end one exactly
+    # at ``element_boundary``. The sizes on either side end just before and
+    # just after a chunk boundary.
+    edge_boundary, element_boundary = rio._CHUNK // (2 * gen.OUT_DEGREE), -(-rio._CHUNK // 3)
+
+    @pytest.mark.parametrize(
+        "shape, seed, size",
+        [
+            pytest.param(shape, seed, size, id=f"{shape}-{seed}")
+            for shape, seed, size in (("bulk", 1, 60), ("bulk", 2, 60), ("bulk", 3, 60), ("star", 1, 200))
+        ]
+        + [
+            pytest.param("bulk", 4, size, id=f"bulk-4-n{size}")
+            for boundary in (edge_boundary, element_boundary)
+            for size in (boundary - 1, boundary, boundary + 1)
+        ],
+    )
+    def test_bench_models_keep_their_bytes(self, shape, seed, size):
         # The generator writes every optional field in README key order,
         # through the stdlib encoder.
-        data, _ = gen.bulk_model(seed, n=60) if shape == "bulk" else gen.star_model(seed, degree=200)
+        data, _ = gen.bulk_model(seed, n=size) if shape == "bulk" else gen.star_model(seed, degree=size)
         text = gen.canonical(data)
         assert serialize_model(parse_model(text)) == text
 
@@ -975,3 +997,86 @@ class TestThreadSafety:
         for out in results:
             for which, outcome in out:
                 assert outcome == serial[which]
+
+    def test_concurrent_parses_keep_their_own_ids(self):
+        # Two models with the same ids: a table of ids shared across calls
+        # would give one model's edges the other's id objects.
+        texts = [gen.canonical(gen.bulk_model(seed, n=60)[0]) for seed in (1, 2)]
+        serial = [parse_model(text) for text in texts]
+        assert serial[0] != serial[1]
+        results: list[list] = [[] for _ in range(4)]
+        barrier = threading.Barrier(len(results))
+
+        def work(which, out):
+            barrier.wait()
+            for _ in range(5):
+                out.append(_outcome(parse_model, texts[which]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i % 2, out)) for i, out in enumerate(results)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for i, out in enumerate(results):
+            assert len(out) == 5
+            for model in out:
+                assert model == serial[i % 2]
+                _assert_shared_strings(model)
+
+
+def _assert_shared_strings(model):
+    """Each reference is its element's own id object; each vocabulary token is the module's constant."""
+    ids = {element.id: element.id for element in (*model.requirements, *model.functions, *model.components)}
+    for edge in model.rf + model.fc:
+        assert edge.source is ids[edge.source] and edge.target is ids[edge.target]
+    vocabulary = {name: name for names in (ALL_CATEGORY_NAMES, ALL_SEVERITY_CLASS_NAMES) for name in names}
+    vocabulary.update({name: name for name in CONTROL_METHOD_CLASSES + FLOW_KINDS})
+    for fm in model.failure_modes:
+        assert fm.element is ids[fm.element]
+        assert fm.category is vocabulary[fm.category]
+        assert all(e.severity_class is vocabulary[e.severity_class] for e in fm.effects if e.severity_class)
+        assert fm.control is None or fm.control.method_class is vocabulary[fm.control.method_class]
+    for function in model.functions:
+        assert all(flow.kind is vocabulary[flow.kind] for flow in function.inputs + function.outputs)
+
+
+@pytest.fixture(scope="module")
+def bulk_text():
+    return gen.canonical(gen.bulk_model(11, n=200)[0])
+
+
+class TestMemory:
+    """What a parsed model keeps and what serialization holds at its peak, from tracemalloc's counts."""
+
+    def test_references_share_their_strings(self, bulk_text):
+        _assert_shared_strings(parse_model(bulk_text))
+
+    def test_parsed_model_is_smaller_than_its_text(self, bulk_text):
+        parse_model(bulk_text)  # Anything a first parse leaves behind is not the model.
+        tracemalloc.start()
+        try:
+            model = parse_model(bulk_text)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(model, DesignModel)
+        assert kept <= 0.95 * sys.getsizeof(bulk_text)
+
+    def test_serialization_peak_stays_near_its_result(self, bulk_text):
+        model = parse_model(bulk_text)
+        serialize_model(model)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = serialize_model(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == bulk_text
+        assert peak - start <= 1.8 * sys.getsizeof(out)
