@@ -22,16 +22,16 @@ text, the containers on the problem paths and nothing else, each only up
 to the member a path needs, so nothing past the last problem is read.
 
 The walker checks the document's shape: objects and their keys, arrays,
-pairs, and the types of the few slots the model leaves unchecked. Every
+pairs, and the JSON type of each optional string or integer slot. Every
 value rule (id charset, non-blank prose, flow kinds, control classes,
-positive frequencies) is the model constructors'; the walker builds each
-record through its constructor and reports what that rejects. A sound
-record takes an inline path, its shape tested and its constructor called
-directly; only a record that misses is walked again by the reporting
-code, which builds the model path of each problem. The inline path gives
-each reference its element's own id string and each closed-vocabulary
-value the module's constant, and the walk drops each decoded item once its
-record is built, so a large model's decoded tree shrinks as its model grows.
+positive frequencies, writable integers) is the model constructors'; the
+walker builds each record through its constructor and reports what that
+rejects. Each record's shape is written once, as a table of its keys. A
+sound record takes an inline path, its keys tested against its table and
+its constructor called directly; only a record that misses is walked
+again, by one reporting walk over the tables that builds the model path
+of each problem. The inline path shares id and vocabulary strings, and
+the walk drops each decoded item once its record is built.
 
 Serialization writes what ``json.dumps(data, indent=2, ensure_ascii=False)``
 gives for the model's plain form (fixed key order, LF endings, trailing
@@ -49,6 +49,7 @@ from functools import partial
 from json.decoder import scanstring
 from json.encoder import encode_basestring as _str
 from operator import itemgetter
+from typing import NamedTuple
 
 from .model import (
     ALL_CATEGORY_NAMES,
@@ -576,39 +577,26 @@ class _Reader:
 # plus the key when the key itself is at fault; only the failure path
 # turns paths into positions.
 
-
-def _schema(required: tuple[str, ...], optional: tuple[str, ...] = ()) -> tuple[tuple[str, ...], frozenset[str]]:
-    """The keys an object must have, in the order missing ones are reported, and the keys it may have."""
-    return required, frozenset(required + optional)
-
-
-_TOP = _schema(("meta", "requirements", "functions", "components", "rf", "fc", "failure_modes"))
-_META = _schema(("product", "version"))
-_REQUIREMENT = _schema(("id", "text"))
-_FLOW = _schema(("description", "kind"))
-_FUNCTION = _schema(("id", "verb", "noun"), ("inputs", "outputs"))
-_COMPONENT = _schema(("id", "name"), ("concept",))
-_EFFECT = _schema(("text",), ("severity_class", "severity_rank"))
-_CAUSE = _schema(("text",), ("occurrence_rank", "frequency"))
-_CONTROL = _schema(("method_class",), ("method_text", "detection_rank"))
-_FAILURE_MODE = _schema(("id", "element", "category", "description"), ("effects", "causes", "control"))
+_TOP = ("meta", "requirements", "functions", "components", "rf", "fc", "failure_modes")
 
 
 class _Walker:
     """Checks the document's shape and builds each record through its constructor.
 
-    Besides shape, it checks only the types of ``concept``,
-    ``severity_class``, ``method_text`` and the ranks, which no
-    constructor checks. The happy path is inline: each array item is
-    handed to a ``_sound_*`` builder, which tests the item's shape with
-    ``type(...) is dict`` (so an object with a repeated key misses), one
-    test that its keys are allowed ones and a type test per optional
-    slot, then calls the constructors directly, nested records included.
-    It makes no walker call and builds no path. Only an item that misses
-    that shape, lacks a required key, or that a constructor rejects, is
-    walked again by the reporting code here and in the ``_walk_*``
-    functions, which builds the path of each problem it files and records
-    each repeated key.
+    The happy path is inline: each array item is handed to a ``_sound_*``
+    builder, which tests the item's shape with ``type(...) is dict`` (so
+    an object with a repeated key misses), one test that its keys are its
+    shape table's and a type test per optional slot, then calls the
+    constructors directly, nested records included. It makes no walker
+    call and builds no path. Only an item that misses, lacks a required
+    key, or that a constructor rejects, is walked again, nested arrays
+    included, by ``_walk_record``, which files each problem under its path.
+
+    Besides shape, the walk checks only the JSON type of the optional
+    string and integer slots (``concept``, ``severity_class``,
+    ``method_text``, the ranks): the file has no ``null`` there, which a
+    constructor takes for an absent slot, and rank ranges and severity
+    classes are validation findings, not constructor rules.
     """
 
     def __init__(self) -> None:
@@ -619,7 +607,8 @@ class _Walker:
     def fail(self, path: Path, code: str, detail: str, key: str | None = None) -> None:
         self.problems.append((path, key, code, f"{render_path(path)}: {detail}" if path else detail))
 
-    def obj(self, value: object, path: Path, schema: tuple[tuple[str, ...], frozenset[str]]) -> dict | None:
+    def obj(self, value: object, path: Path, required: tuple[str, ...], allowed: frozenset[str]) -> dict | None:
+        """``value`` if it is an object with every ``required`` key, else None; each problem filed."""
         if not isinstance(value, dict):
             self.fail(path, "Type", "expected an object")
             return None
@@ -628,7 +617,6 @@ class _Walker:
             for key in value.repeated:
                 nth[key] += 1
                 self.repeats.append((path, key, nth[key]))
-        required, allowed = schema
         if not allowed.issuperset(value):
             for key in value:
                 if key not in allowed:
@@ -646,28 +634,14 @@ class _Walker:
             return None
         return value
 
-    def string(self, container, key: str, path: Path) -> str | None:
-        value = container[key]
-        if not isinstance(value, str):
-            self.fail(path + (key,), "Type", "expected a string")
-            return None
-        return value
-
-    def integer(self, container, key: str, path: Path) -> int | None:
-        value = container[key]
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.fail(path + (key,), "Type", "expected an integer")
-            return None
-        return value
-
-    def build(self, cls, path: Path, *values):
-        """``cls(*values)``, or None after filing each problem the constructor reports.
+    def build(self, cls, path: Path, *values, **keywords):
+        """``cls(*values, **keywords)``, or None after filing each problem the constructor reports.
 
         A lone surrogate is left out: only the reader lets one through, and
         it has reported it already at its character.
         """
         try:
-            return cls(*values)
+            return cls(*values, **keywords)
         except _FieldError as exc:
             for field, code, detail in exc.problems:
                 if not detail.startswith(_SURROGATE):
@@ -675,142 +649,138 @@ class _Walker:
             return None
 
 
-def _walk_model(w: _Walker, data: object) -> DesignModel | None:
-    top = w.obj(data, (), _TOP)
-    if top is None:
-        return None
-
-    meta = _walk_meta(w, top["meta"], ("meta",))
-    requirements = _walk_list(w, top, "requirements", (), _sound_requirement, _walk_requirement)
-    functions = _walk_list(w, top, "functions", (), _sound_function, _walk_function)
-    components = _walk_list(w, top, "components", (), _sound_component, _walk_component)
-    # Each element's own id object, for the references walked after the elements.
-    ids = {element.id: element.id for elements in (requirements, functions, components) for element in elements}
-    sound_edge = partial(_sound_edge, ids)
-    rf = _walk_list(w, top, "rf", (), sound_edge, _walk_edge)
-    fc = _walk_list(w, top, "fc", (), sound_edge, _walk_edge)
-    failure_modes = _walk_list(w, top, "failure_modes", (), partial(_sound_failure_mode, ids), _walk_failure_mode)
-
-    if w.problems or meta is None:
-        return None
-    return DesignModel(meta, requirements, functions, components, rf, fc, failure_modes)
-
-
-def _walk_list(w: _Walker, container: dict, key: str, path: Path, sound, walk_item) -> list:
-    """Each item of the array at ``container[key]``: built by ``sound``, or else walked by ``walk_item``.
+def _walk_list(w: _Walker, values: object, path: Path, walk_item, sound=None) -> list:
+    """Each item of the array ``values``, built by ``sound`` if sound, else by ``walk_item``.
 
     Each decoded item is dropped from the array once taken, so that it is
     freed as soon as its record is built; a failed parse locates its
     problems from the text, not from these values.
     """
-    path = path + (key,)
-    values = w.array(container[key], path)
+    values = w.array(values, path)
     if values is None:
         return []
     items = []
     for index, value in enumerate(values):
         values[index] = None
-        try:
-            items.append(sound(value))
-        except (_Miss, KeyError, _FieldError):
-            item = walk_item(w, value, path + (index,))
-            if item is not None:
-                items.append(item)
+        if sound is not None:
+            try:
+                items.append(sound(value))
+                continue
+            except (_Miss, KeyError, _FieldError):
+                pass
+        item = walk_item(w, value, path + (index,))
+        if item is not None:
+            items.append(item)
     return items
 
 
-def _walk_meta(w: _Walker, value: object, path: Path) -> Meta | None:
-    fields = w.obj(value, path, _META)
-    if fields is None:
-        return None
-    return w.build(Meta, path, fields["product"], fields["version"])
-
-
-def _walk_requirement(w: _Walker, value: object, path: Path) -> Requirement | None:
-    fields = w.obj(value, path, _REQUIREMENT)
-    if fields is None:
-        return None
-    return w.build(Requirement, path, fields["id"], fields["text"])
-
-
-def _walk_flow(w: _Walker, value: object, path: Path) -> Flow | None:
-    fields = w.obj(value, path, _FLOW)
-    if fields is None:
-        return None
-    return w.build(Flow, path, fields["description"], fields["kind"])
-
-
-def _walk_function(w: _Walker, value: object, path: Path) -> Function | None:
-    fields = w.obj(value, path, _FUNCTION)
-    if fields is None:
-        return None
-    inputs = _walk_list(w, fields, "inputs", path, _sound_flow, _walk_flow) if "inputs" in fields else ()
-    outputs = _walk_list(w, fields, "outputs", path, _sound_flow, _walk_flow) if "outputs" in fields else ()
-    return w.build(Function, path, fields["id"], fields["verb"], fields["noun"], inputs, outputs)
-
-
-def _walk_component(w: _Walker, value: object, path: Path) -> Component | None:
-    fields = w.obj(value, path, _COMPONENT)
-    if fields is None:
-        return None
-    concept = w.string(fields, "concept", path) if "concept" in fields else None
-    return w.build(Component, path, fields["id"], fields["name"], concept)
-
-
-def _walk_edge(w: _Walker, value: object, path: Path) -> MappingEdge | None:
-    return _walk_pair(w, value, path, MappingEdge, "an edge is a [source_id, target_id] pair")
-
-
-def _walk_pair(w: _Walker, value: object, path: Path, cls, shape: str):
-    """``cls`` built from a two-item array; ``shape`` says what the pair is."""
+def _walk_pair(w: _Walker, value: object, path: Path, cls, what: str):
+    """``cls`` built from a two-item array; ``what`` says what the pair is."""
     pair = w.array(value, path)
     if pair is None:
         return None
     if len(pair) != 2:
-        w.fail(path, "InvalidValue", shape)
+        w.fail(path, "InvalidValue", what)
         return None
     return w.build(cls, path, *pair)
 
 
-def _walk_effect(w: _Walker, value: object, path: Path) -> Effect | None:
-    fields = w.obj(value, path, _EFFECT)
+def _walk_scalar(w: _Walker, value: object, path: Path, kind: type, what: str):
+    """``value`` if it is a ``kind`` (a bool is no integer), else None after filing a Type problem."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        w.fail(path, "Type", f"expected {what}")
+        return None
+    return value
+
+
+def _walk_record(w: _Walker, value: object, path: Path, shape: _Shape):
+    """The record ``shape`` describes, built from ``value``; None after filing each problem."""
+    fields = w.obj(value, path, tuple(key for key, read in shape.keys if read is _GIVEN), shape.allowed)
     if fields is None:
         return None
-    severity_class = w.string(fields, "severity_class", path) if "severity_class" in fields else None
-    severity_rank = w.integer(fields, "severity_rank", path) if "severity_rank" in fields else None
-    return w.build(Effect, path, fields["text"], severity_class, severity_rank)
+    arguments = {}
+    for key, read in shape.keys:
+        if read is _GIVEN:
+            arguments[key] = fields[key]
+        elif key in fields:
+            arguments[key] = read(w, fields[key], path + (key,))
+    return w.build(shape.cls, path, **arguments)
 
 
-def _walk_cause(w: _Walker, value: object, path: Path) -> Cause | None:
-    fields = w.obj(value, path, _CAUSE)
-    if fields is None:
+# A shape table lists a record's keys in file order, each with how the
+# reporting walk reads its value: ``read(w, value, path)``. A required key
+# (a bare name in ``_shape``) is ``_GIVEN`` to the constructor as it is,
+# which holds its rules. An optional key's read is ``_string`` or
+# ``_integer``, which check its JSON type, a shape for a nested record,
+# ``_records`` for an array of records, or a ``_walk_pair``. Values go to
+# the constructor by keyword, named as the file names its keys.
+
+
+class _Shape(NamedTuple):
+    """One record's file shape: its constructor, each ``(key, read)`` in file order, and its keys."""
+
+    cls: type
+    keys: tuple[tuple[str, object], ...]
+    allowed: frozenset[str]
+
+    def __call__(self, w: _Walker, value: object, path: Path):
+        return _walk_record(w, value, path, self)
+
+
+def _shape(cls: type, *keys: str | tuple[str, object]) -> _Shape:
+    keys = tuple((key, _GIVEN) if type(key) is str else key for key in keys)
+    return _Shape(cls, keys, frozenset(key for key, _ in keys))
+
+
+def _records(shape: _Shape):
+    return partial(_walk_list, walk_item=shape)
+
+
+_GIVEN = None
+_string = partial(_walk_scalar, kind=str, what="a string")
+_integer = partial(_walk_scalar, kind=int, what="an integer")
+
+_META = _shape(Meta, "product", "version")
+_REQUIREMENT = _shape(Requirement, "id", "text")
+_FLOW = _shape(Flow, "description", "kind")
+_FUNCTION = _shape(Function, "id", "verb", "noun", ("inputs", _records(_FLOW)), ("outputs", _records(_FLOW)))
+_COMPONENT = _shape(Component, "id", "name", ("concept", _string))
+_EFFECT = _shape(Effect, "text", ("severity_class", _string), ("severity_rank", _integer))
+_FREQUENCY = partial(_walk_pair, cls=Frequency, what="a frequency is a [failures, opportunities] pair")
+_CAUSE = _shape(Cause, "text", ("occurrence_rank", _integer), ("frequency", _FREQUENCY))
+_CONTROL = _shape(ControlPlan, "method_class", ("method_text", _string), ("detection_rank", _integer))
+_FAILURE_MODE = _shape(
+    FailureMode,
+    "id",
+    "element",
+    "category",
+    "description",
+    ("effects", _records(_EFFECT)),
+    ("causes", _records(_CAUSE)),
+    ("control", _CONTROL),
+)
+_EDGE = partial(_walk_pair, cls=MappingEdge, what="an edge is a [source_id, target_id] pair")
+
+
+def _walk_model(w: _Walker, data: object) -> DesignModel | None:
+    top = w.obj(data, (), _TOP, frozenset(_TOP))
+    if top is None:
         return None
-    occurrence_rank = w.integer(fields, "occurrence_rank", path) if "occurrence_rank" in fields else None
-    frequency = None
-    if "frequency" in fields:
-        shape = "a frequency is a [failures, opportunities] pair"
-        frequency = _walk_pair(w, fields["frequency"], path + ("frequency",), Frequency, shape)
-    return w.build(Cause, path, fields["text"], occurrence_rank, frequency)
 
+    meta = _walk_record(w, top["meta"], ("meta",), _META)
+    requirements = _walk_list(w, top["requirements"], ("requirements",), _REQUIREMENT, _sound_requirement)
+    functions = _walk_list(w, top["functions"], ("functions",), _FUNCTION, _sound_function)
+    components = _walk_list(w, top["components"], ("components",), _COMPONENT, _sound_component)
+    # Each element's own id object, for the references walked after the elements.
+    ids = {element.id: element.id for elements in (requirements, functions, components) for element in elements}
+    rf = _walk_list(w, top["rf"], ("rf",), _EDGE, partial(_sound_edge, ids))
+    fc = _walk_list(w, top["fc"], ("fc",), _EDGE, partial(_sound_edge, ids))
+    sound_failure_mode = partial(_sound_failure_mode, ids)
+    failure_modes = _walk_list(w, top["failure_modes"], ("failure_modes",), _FAILURE_MODE, sound_failure_mode)
 
-def _walk_control(w: _Walker, value: object, path: Path) -> ControlPlan | None:
-    fields = w.obj(value, path, _CONTROL)
-    if fields is None:
+    if w.problems or meta is None:
         return None
-    method_text = w.string(fields, "method_text", path) if "method_text" in fields else None
-    detection_rank = w.integer(fields, "detection_rank", path) if "detection_rank" in fields else None
-    return w.build(ControlPlan, path, fields["method_class"], method_text, detection_rank)
-
-
-def _walk_failure_mode(w: _Walker, value: object, path: Path) -> FailureMode | None:
-    fields = w.obj(value, path, _FAILURE_MODE)
-    if fields is None:
-        return None
-    effects = _walk_list(w, fields, "effects", path, _sound_effect, _walk_effect) if "effects" in fields else ()
-    causes = _walk_list(w, fields, "causes", path, _sound_cause, _walk_cause) if "causes" in fields else ()
-    control = _walk_control(w, fields["control"], path + ("control",)) if "control" in fields else None
-    head = fields["id"], fields["element"], fields["category"], fields["description"]
-    return w.build(FailureMode, path, *head, causes, effects, control)
+    return DesignModel(meta, requirements, functions, components, rf, fc, failure_modes)
 
 
 # The inline happy path. Each ``_sound_*`` builds one value through its
@@ -843,10 +813,10 @@ class _Miss(Exception):
     """A value not of its slot's sound shape: the reporting walk reads it again."""
 
 
-def _sound_all(sound, values: object) -> list:
+def _sound_all(sound, values: object) -> tuple:
     if type(values) is not list:
         raise _Miss
-    return list(map(sound, values))
+    return tuple(map(sound, values))
 
 
 def _sound_pair(cls, pair: object):
@@ -862,19 +832,19 @@ def _sound_edge(ids: dict[str, str], pair: object) -> MappingEdge:
 
 
 def _sound_requirement(value: object) -> Requirement:
-    if type(value) is not dict or not _REQUIREMENT[1].issuperset(value):
+    if type(value) is not dict or not _REQUIREMENT.allowed.issuperset(value):
         raise _Miss
     return Requirement(value["id"], value["text"])
 
 
 def _sound_flow(value: object) -> Flow:
-    if type(value) is not dict or not _FLOW[1].issuperset(value):
+    if type(value) is not dict or not _FLOW.allowed.issuperset(value):
         raise _Miss
     return Flow(value["description"], _shared(_VOCABULARY, value["kind"]))
 
 
 def _sound_function(value: object) -> Function:
-    if type(value) is not dict or not _FUNCTION[1].issuperset(value):
+    if type(value) is not dict or not _FUNCTION.allowed.issuperset(value):
         raise _Miss
     inputs = _sound_all(_sound_flow, value["inputs"]) if "inputs" in value else ()
     outputs = _sound_all(_sound_flow, value["outputs"]) if "outputs" in value else ()
@@ -882,7 +852,7 @@ def _sound_function(value: object) -> Function:
 
 
 def _sound_component(value: object) -> Component:
-    if type(value) is not dict or not _COMPONENT[1].issuperset(value):
+    if type(value) is not dict or not _COMPONENT.allowed.issuperset(value):
         raise _Miss
     if type(value.get("concept", "")) is not str:
         raise _Miss
@@ -890,7 +860,7 @@ def _sound_component(value: object) -> Component:
 
 
 def _sound_effect(value: object) -> Effect:
-    if type(value) is not dict or not _EFFECT[1].issuperset(value):
+    if type(value) is not dict or not _EFFECT.allowed.issuperset(value):
         raise _Miss
     if type(value.get("severity_class", "")) is not str or type(value.get("severity_rank", 0)) is not int:
         raise _Miss
@@ -898,7 +868,7 @@ def _sound_effect(value: object) -> Effect:
 
 
 def _sound_cause(value: object) -> Cause:
-    if type(value) is not dict or not _CAUSE[1].issuperset(value):
+    if type(value) is not dict or not _CAUSE.allowed.issuperset(value):
         raise _Miss
     if type(value.get("occurrence_rank", 0)) is not int:
         raise _Miss
@@ -907,7 +877,7 @@ def _sound_cause(value: object) -> Cause:
 
 
 def _sound_control(value: object) -> ControlPlan:
-    if type(value) is not dict or not _CONTROL[1].issuperset(value):
+    if type(value) is not dict or not _CONTROL.allowed.issuperset(value):
         raise _Miss
     if type(value.get("method_text", "")) is not str or type(value.get("detection_rank", 0)) is not int:
         raise _Miss
@@ -916,7 +886,7 @@ def _sound_control(value: object) -> ControlPlan:
 
 
 def _sound_failure_mode(ids: dict[str, str], value: object) -> FailureMode:
-    if type(value) is not dict or not _FAILURE_MODE[1].issuperset(value):
+    if type(value) is not dict or not _FAILURE_MODE.allowed.issuperset(value):
         raise _Miss
     effects = _sound_all(_sound_effect, value["effects"]) if "effects" in value else ()
     causes = _sound_all(_sound_cause, value["causes"]) if "causes" in value else ()
@@ -1010,7 +980,7 @@ def _flow(out: list[str], flow: Flow) -> None:
 def _component(out: list[str], component: Component) -> None:
     members = ['"id": ' + _str(component.id), '"name": ' + _str(component.name)]
     if component.concept is not None:
-        members.append('"concept": ' + _scalar(component.concept))
+        members.append('"concept": ' + _str(component.concept))
     _object(out, members, 2)
 
 
@@ -1043,7 +1013,7 @@ def _cause(out: list[str], cause: Cause) -> None:
 def _control(control: ControlPlan) -> str:
     members = ['"method_class": ' + _str(control.method_class)]
     if control.method_text is not None:
-        members.append('"method_text": ' + _scalar(control.method_text))
+        members.append('"method_text": ' + _str(control.method_text))
     if control.detection_rank is not None:
         members.append('"detection_rank": ' + _scalar(control.detection_rank))
     return "{" + _INDENT[4] + ("," + _INDENT[4]).join(members) + _INDENT[3] + "}"

@@ -7,7 +7,8 @@ owned by exactly one element. All types are immutable values; nothing here
 mutates a model after construction.
 
 Each constructor holds the only copy of its fields' value rules (id
-charset, non-blank prose, closed vocabularies, positive frequencies) and
+charset, non-blank prose, closed vocabularies, positive frequencies, the
+record class of each record it holds, integers Python can write) and
 reports every bad field at once; the parser builds records through them.
 """
 
@@ -181,10 +182,60 @@ def _choice(field: str, value: object, allowed: tuple[str, ...], what: str) -> t
     return _string(field, value) or (field, "InvalidValue", f"{what} must be one of {', '.join(allowed)}")
 
 
+def _optional_utf8(field: str, value: object) -> tuple | None:
+    """A string that has a UTF-8 form, or None for an absent one."""
+    if value is None or type(value) is str and value.isascii():
+        return None
+    return _utf8(field, value)
+
+
+#: An integer of fewer bits has fewer than 640 digits, the lowest limit
+#: ``sys.set_int_max_str_digits`` takes, so Python always writes it.
+_WRITABLE_BITS = 2000
+
+
 def _integer(field: int, value: object) -> tuple | None:
+    """An integer, bools excluded, that Python writes (see ``_writable``)."""
     if isinstance(value, bool) or not isinstance(value, int):
         return field, "Type", "expected an integer"
+    return None if value.bit_length() < _WRITABLE_BITS else _writable(field, value)
+
+
+def _writable(field: str | int, value: object) -> tuple | None:
+    """A str with a lone surrogate, or an integer with more digits than Python writes
+    (``sys.get_int_max_str_digits``) or a value holding one: no model file, artifact or
+    finding could hold it. Worded as the parser's reader words it; anything else passes."""
+    kind = type(value)
+    if value is None or kind is str and value.isascii() or kind is int and value.bit_length() < _WRITABLE_BITS:
+        return None
+    if isinstance(value, str):
+        return _surrogate(field, value)
+    try:
+        repr(value)
+    except ValueError:
+        return field, "InvalidValue", "integer has too many digits"
     return None
+
+
+def _held(field: str, values: object, cls: type) -> tuple[object, tuple | None]:
+    """``values`` as a tuple (as given if it is not iterable), and a problem unless it holds
+    ``cls`` records only."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        pass
+    else:
+        for value in values:
+            if not isinstance(value, cls):
+                break
+        else:
+            return values, None
+    return values, (field, "Type", f"expected {cls.__name__} records")
+
+
+def _record(field: str, value: object, cls: type) -> tuple | None:
+    """A problem unless ``value`` is a ``cls`` record."""
+    return None if isinstance(value, cls) else (field, "Type", f"expected a {cls.__name__}")
 
 
 def _slot_setters(cls: type) -> tuple:
@@ -261,13 +312,15 @@ class Function:
     def __init__(
         self, id: str, verb: str, noun: str, inputs: tuple[Flow, ...] = (), outputs: tuple[Flow, ...] = ()
     ) -> None:
-        _check(self, _id("id", id), _text("verb", verb), _text("noun", noun))
+        inputs, bad_inputs = _held("inputs", inputs, Flow)
+        outputs, bad_outputs = _held("outputs", outputs, Flow)
+        _check(self, _id("id", id), _text("verb", verb), _text("noun", noun), bad_inputs, bad_outputs)
         set_id, set_verb, set_noun, set_inputs, set_outputs = _FUNCTION_SLOTS
         set_id(self, id)
         set_verb(self, verb)
         set_noun(self, noun)
-        set_inputs(self, tuple(inputs))
-        set_outputs(self, tuple(outputs))
+        set_inputs(self, inputs)
+        set_outputs(self, outputs)
 
     @property
     def text(self) -> str:
@@ -286,7 +339,7 @@ class Component:
     concept: str | None = None
 
     def __init__(self, id: str, name: str, concept: str | None = None) -> None:
-        _check(self, _id("id", id), _text("name", name), _surrogate("concept", concept))
+        _check(self, _id("id", id), _text("name", name), _optional_utf8("concept", concept))
         set_id, set_name, set_concept = _COMPONENT_SLOTS
         set_id(self, id)
         set_name(self, name)
@@ -357,7 +410,8 @@ class Cause:
     def __init__(self, text: str, occurrence_rank: int | None = None, frequency: Frequency | None = None) -> None:
         # Only a Frequency is rated as a rate: a float, a bool or a Fraction would be too, silently.
         not_rate = frequency is not None and not isinstance(frequency, Frequency)
-        _check(self, _text("text", text), ("frequency", "Type", "expected a frequency") if not_rate else None)
+        rate = ("frequency", "Type", "expected a frequency") if not_rate else None
+        _check(self, _text("text", text), _writable("occurrence_rank", occurrence_rank), rate)
         set_text, set_occurrence_rank, set_frequency = _CAUSE_SLOTS
         set_text(self, text)
         set_occurrence_rank(self, occurrence_rank)
@@ -376,7 +430,8 @@ class Effect:
     severity_rank: int | None = None
 
     def __init__(self, text: str, severity_class: str | None = None, severity_rank: int | None = None) -> None:
-        _check(self, _text("text", text), _surrogate("severity_class", severity_class))
+        ratings = _writable("severity_class", severity_class), _writable("severity_rank", severity_rank)
+        _check(self, _text("text", text), *ratings)
         set_text, set_severity_class, set_severity_rank = _EFFECT_SLOTS
         set_text(self, text)
         set_severity_class(self, severity_class)
@@ -396,7 +451,7 @@ class ControlPlan:
 
     def __init__(self, method_class: str, method_text: str | None = None, detection_rank: int | None = None) -> None:
         choice = _choice("method_class", method_class, CONTROL_METHOD_CLASSES, "control method class")
-        _check(self, choice, _surrogate("method_text", method_text))
+        _check(self, choice, _optional_utf8("method_text", method_text), _writable("detection_rank", detection_rank))
         set_method_class, set_method_text, set_detection_rank = _CONTROL_PLAN_SLOTS
         set_method_class(self, method_class)
         set_method_text(self, method_text)
@@ -428,15 +483,19 @@ class FailureMode:
         effects: tuple[Effect, ...] = (),
         control: ControlPlan | None = None,
     ) -> None:
+        causes, bad_causes = _held("causes", causes, Cause)
+        effects, bad_effects = _held("effects", effects, Effect)
         ids = _id("id", id), _id("element", element)
-        _check(self, *ids, _text("category", category), _text("description", description))
+        texts = _text("category", category), _text("description", description)
+        plan = None if control is None else _record("control", control, ControlPlan)
+        _check(self, *ids, *texts, bad_causes, bad_effects, plan)
         set_id, set_element, set_category, set_description, set_causes, set_effects, set_control = _FAILURE_MODE_SLOTS
         set_id(self, id)
         set_element(self, element)
         set_category(self, category)
         set_description(self, description)
-        set_causes(self, tuple(causes))
-        set_effects(self, tuple(effects))
+        set_causes(self, causes)
+        set_effects(self, effects)
         set_control(self, control)
 
 
@@ -447,10 +506,11 @@ _FAILURE_MODE_SLOTS = _slot_setters(FailureMode)
 class DesignModel:
     """A complete design: elements, the two mappings, and all failure modes.
 
-    Construction only normalizes list fields to tuples; cross-reference
-    soundness (dangling ids, duplicate ids, edge direction, category fit)
-    is the validation module's job so that problems surface as findings
-    rather than exceptions.
+    Construction normalizes list fields to tuples and checks that each
+    field holds its own record class; cross-reference soundness (dangling
+    ids, duplicate ids, edge direction, category fit) is the validation
+    module's job so that problems surface as findings rather than
+    exceptions.
     """
 
     meta: Meta
@@ -471,14 +531,22 @@ class DesignModel:
         fc: tuple[MappingEdge, ...] = (),
         failure_modes: tuple[FailureMode, ...] = (),
     ) -> None:
+        requirements, bad_requirements = _held("requirements", requirements, Requirement)
+        functions, bad_functions = _held("functions", functions, Function)
+        components, bad_components = _held("components", components, Component)
+        rf, bad_rf = _held("rf", rf, MappingEdge)
+        fc, bad_fc = _held("fc", fc, MappingEdge)
+        failure_modes, bad_failure_modes = _held("failure_modes", failure_modes, FailureMode)
+        elements = bad_requirements, bad_functions, bad_components
+        _check(self, _record("meta", meta, Meta), *elements, bad_rf, bad_fc, bad_failure_modes)
         # No slots (the indexes below live in __dict__), so no slot setters either.
         object.__setattr__(self, "meta", meta)
-        object.__setattr__(self, "requirements", tuple(requirements))
-        object.__setattr__(self, "functions", tuple(functions))
-        object.__setattr__(self, "components", tuple(components))
-        object.__setattr__(self, "rf", tuple(rf))
-        object.__setattr__(self, "fc", tuple(fc))
-        object.__setattr__(self, "failure_modes", tuple(failure_modes))
+        object.__setattr__(self, "requirements", requirements)
+        object.__setattr__(self, "functions", functions)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "rf", rf)
+        object.__setattr__(self, "fc", fc)
+        object.__setattr__(self, "failure_modes", failure_modes)
 
     # Lookup caches assume unique ids; on models with duplicates they keep
     # the first occurrence, which is what the validator reports against.

@@ -1,5 +1,6 @@
 """File format: positioned parse errors and canonical, round-trip-stable output."""
 
+import copy
 import json
 import random
 import re
@@ -525,7 +526,9 @@ class TestCanonicalWriter:
 
     def test_unchecked_scalars_keep_the_stdlib_form(self):
         # Library-built values the parser would reject, in slots the
-        # constructors do not check.
+        # constructors do not check: a rank's range and a severity class
+        # are validation findings. (A concept and a method text are strings
+        # or None; the constructors refuse anything else.)
         fm = FailureMode(
             "fm1",
             "c1",
@@ -533,25 +536,30 @@ class TestCanonicalWriter:
             "broken",
             effects=(Effect("e", severity_class=False, severity_rank=True),),
             causes=(Cause("c", occurrence_rank=3.5),),
-            control=ControlPlan("DesignAnalysis", method_text=1e100, detection_rank=-0.0),
+            control=ControlPlan("DesignAnalysis", detection_rank=-0.0),
         )
-        model = DesignModel(meta=Meta("p", "1"), components=(Component("c1", "part", concept=True),), failure_modes=(fm,))
+        model = DesignModel(meta=Meta("p", "1"), components=(Component("c1", "part"),), failure_modes=(fm,))
         out = serialize_model(model)
         for member in (
-            '"concept": true',
             '"severity_class": false',
             '"severity_rank": true',
             '"occurrence_rank": 3.5',
-            '"method_text": 1e+100',
             '"detection_rank": -0.0',
         ):
             assert member in out
         assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n"
+        with pytest.raises(ValueError, match="expected a string"):
+            Component("c1", "part", concept=True)
+        with pytest.raises(ValueError, match="expected a string"):
+            ControlPlan("DesignAnalysis", method_text=1e100)
 
     def test_a_container_in_a_scalar_slot_is_a_type_error(self):
-        model = DesignModel(meta=Meta("p", "1"), components=(Component("c1", "part", concept=["x"]),))
+        fm = FailureMode("fm1", "c1", "Damaged", "broken", effects=(Effect("e", severity_class=["x"]),))
+        model = DesignModel(meta=Meta("p", "1"), components=(Component("c1", "part"),), failure_modes=(fm,))
         with pytest.raises(TypeError):
             serialize_model(model)
+        with pytest.raises(ValueError, match="expected a string"):
+            Component("c1", "part", concept=["x"])
 
     # A top-level array is joined in chunks of at least ``_CHUNK`` pieces, cut
     # after an item. An edge writes two pieces, so rf and fc with out-degree 4
@@ -960,6 +968,112 @@ class TestInlineWalkMatchesReportingWalk:
         text = json.dumps(data, indent=2)
         assert [e.code for e in errors_of(text)] == ["InvalidValue", "InvalidValue"]
         assert _outcome(parse_model, text) == _reporting_route(text)
+
+
+# Each record's shape table, with an object of that shape holding every
+# optional key in file order, and its inline builder (meta has none: the walk
+# reads the one meta object through its table). The objects make a sound
+# model together: the failure mode is on component c1, and each rank is in
+# its band.
+_FLOW_ITEM = {"description": "d", "kind": "energy"}
+_EFFECT_ITEM = {"text": "t", "severity_class": "Invisible", "severity_rank": 1}
+_CAUSE_ITEM = {"text": "t", "occurrence_rank": 8, "frequency": [1, 50]}
+_CONTROL_ITEM = {"method_class": "DesignAnalysis", "method_text": "m", "detection_rank": 8}
+FULL_ITEMS = {
+    "_META": ({"product": "p", "version": "1"}, None),
+    "_REQUIREMENT": ({"id": "r1", "text": "t"}, rio._sound_requirement),
+    "_FLOW": (_FLOW_ITEM, rio._sound_flow),
+    "_FUNCTION": (
+        {"id": "f1", "verb": "v", "noun": "n", "inputs": [_FLOW_ITEM], "outputs": [_FLOW_ITEM]},
+        rio._sound_function,
+    ),
+    "_COMPONENT": ({"id": "c1", "name": "n", "concept": "x"}, rio._sound_component),
+    "_EFFECT": (_EFFECT_ITEM, rio._sound_effect),
+    "_CAUSE": (_CAUSE_ITEM, rio._sound_cause),
+    "_CONTROL": (_CONTROL_ITEM, rio._sound_control),
+    "_FAILURE_MODE": (
+        {
+            "id": "fm1",
+            "element": "c1",
+            "category": "Damaged",
+            "description": "d",
+            "effects": [_EFFECT_ITEM],
+            "causes": [_CAUSE_ITEM],
+            "control": _CONTROL_ITEM,
+        },
+        lambda value: rio._sound_failure_mode({}, value),
+    ),
+}
+
+#: Values of the wrong JSON type for a checked slot, by its read.
+WRONG_TYPES = {rio._string: [None, 5, ["x"]], rio._integer: [None, "5", True, 2.0, [1]]}
+
+
+def _walked(shape, value):
+    """``_walk_record``'s record for ``value`` and the problems it filed, as (path, key, code)."""
+    w = rio._Walker()
+    record = rio._walk_record(w, value, ("x",), shape)
+    return record, [(path, key, code) for path, key, code, _ in w.problems]
+
+
+class TestShapeTables:
+    """The hand-written builders and writers against each record's one shape table."""
+
+    def test_every_table_is_pinned_in_file_order(self):
+        tables = {name for name, value in vars(rio).items() if isinstance(value, rio._Shape)}
+        assert tables == set(FULL_ITEMS)
+        for name, (item, _) in FULL_ITEMS.items():
+            assert list(item) == [key for key, _ in getattr(rio, name).keys], name
+
+    @pytest.mark.parametrize("name", [name for name in FULL_ITEMS if FULL_ITEMS[name][1]])
+    def test_builder_and_reporting_walk_build_equal_records(self, name):
+        item, sound = FULL_ITEMS[name]
+        record, problems = _walked(getattr(rio, name), copy.deepcopy(item))
+        assert problems == [] and record is not None
+        assert sound(copy.deepcopy(item)) == record
+
+    @pytest.mark.parametrize("name", list(FULL_ITEMS))
+    def test_each_typed_slot_and_an_unknown_key_miss_the_builder(self, name):
+        item, sound = FULL_ITEMS[name]
+        shape = getattr(rio, name)
+        cases = [(key, wrong, "Type") for key, read in shape.keys for wrong in WRONG_TYPES.get(read, ())]
+        cases.append(("notes", 1, "UnknownKey"))
+        for key, wrong, code in cases:
+            value = {**copy.deepcopy(item), key: wrong}
+            if sound is not None:
+                with pytest.raises(rio._Miss):
+                    sound(copy.deepcopy(value))
+            where = (("x",), key) if code == "UnknownKey" else (("x", key), None)
+            assert _walked(shape, value)[1] == [(*where, code)], (key, wrong)
+
+    def test_writers_follow_each_table(self):
+        items = {name: item for name, (item, _) in FULL_ITEMS.items()}
+        document = {
+            "meta": items["_META"],
+            "requirements": [items["_REQUIREMENT"]],
+            "functions": [items["_FUNCTION"]],
+            "components": [items["_COMPONENT"]],
+            "rf": [["r1", "f1"]],
+            "fc": [["f1", "c1"]],
+            "failure_modes": [items["_FAILURE_MODE"]],
+        }
+        data = json.loads(serialize_model(parse_model(json.dumps(document))))
+        assert data == document
+        fm = data["failure_modes"][0]
+        written = {
+            "_META": data["meta"],
+            "_REQUIREMENT": data["requirements"][0],
+            "_FLOW": data["functions"][0]["inputs"][0],
+            "_FUNCTION": data["functions"][0],
+            "_COMPONENT": data["components"][0],
+            "_EFFECT": fm["effects"][0],
+            "_CAUSE": fm["causes"][0],
+            "_CONTROL": fm["control"],
+            "_FAILURE_MODE": fm,
+        }
+        assert set(written) == set(FULL_ITEMS)
+        for name, record in written.items():
+            assert list(record) == [key for key, _ in getattr(rio, name).keys], name
 
 
 class TestThreadSafety:

@@ -40,11 +40,14 @@ from riskforge.model import (
     _FieldError,
     _check,
     _choice,
+    _held,
     _id,
     _integer,
-    _surrogate,
+    _optional_utf8,
+    _record,
     _text,
     _utf8,
+    _writable,
     is_valid_rank,
 )
 from riskforge.rating import RankBand
@@ -67,13 +70,17 @@ def _flow(self):
 
 
 def _function(self):
-    _check(self, _id("id", self.id), _text("verb", self.verb), _text("noun", self.noun))
-    object.__setattr__(self, "inputs", tuple(self.inputs))
-    object.__setattr__(self, "outputs", tuple(self.outputs))
+    # With the rule the hand-written constructor added: each flow is a Flow.
+    inputs, bad_inputs = _held("inputs", self.inputs, Flow)
+    outputs, bad_outputs = _held("outputs", self.outputs, Flow)
+    _check(self, _id("id", self.id), _text("verb", self.verb), _text("noun", self.noun), bad_inputs, bad_outputs)
+    object.__setattr__(self, "inputs", inputs)
+    object.__setattr__(self, "outputs", outputs)
 
 
 def _component(self):
-    _check(self, _id("id", self.id), _text("name", self.name), _surrogate("concept", self.concept))
+    # With the rule the hand-written constructor added: a concept is a string or None.
+    _check(self, _id("id", self.id), _text("name", self.name), _optional_utf8("concept", self.concept))
 
 
 def _mapping_edge(self):
@@ -81,36 +88,55 @@ def _mapping_edge(self):
 
 
 def _frequency(self):
+    # ``_integer`` now holds the rule the hand-written constructor added: an integer Python writes.
     _check(self, _integer(0, self.numerator), _integer(1, self.denominator))
     if self.numerator < 1 or self.denominator < 1:
         _check(self, (None, "InvalidValue", "frequency integers must be positive"))
 
 
 def _cause(self):
-    # With the rule the hand-written constructor added: only a Frequency is a rate.
+    # With the rules the hand-written constructor added: only a Frequency is a rate, and a rank
+    # is an integer Python writes.
     not_rate = self.frequency is not None and not isinstance(self.frequency, Frequency)
-    _check(self, _text("text", self.text), ("frequency", "Type", "expected a frequency") if not_rate else None)
+    rate = ("frequency", "Type", "expected a frequency") if not_rate else None
+    _check(self, _text("text", self.text), _writable("occurrence_rank", self.occurrence_rank), rate)
 
 
 def _effect(self):
-    _check(self, _text("text", self.text), _surrogate("severity_class", self.severity_class))
+    # With the rule the hand-written constructor added: a severity class or rank holds no
+    # integer Python cannot write.
+    ratings = _writable("severity_class", self.severity_class), _writable("severity_rank", self.severity_rank)
+    _check(self, _text("text", self.text), *ratings)
 
 
 def _control_plan(self):
+    # With the rules the hand-written constructor added: a method text is a string or None, and
+    # a rank is an integer Python writes.
     method_class = _choice("method_class", self.method_class, CONTROL_METHOD_CLASSES, "control method class")
-    _check(self, method_class, _surrogate("method_text", self.method_text))
+    text, rank = _optional_utf8("method_text", self.method_text), _writable("detection_rank", self.detection_rank)
+    _check(self, method_class, text, rank)
 
 
 def _failure_mode(self):
+    # With the rule the hand-written constructor added: each held record is of its own class.
+    causes, bad_causes = _held("causes", self.causes, Cause)
+    effects, bad_effects = _held("effects", self.effects, Effect)
     ids = _id("id", self.id), _id("element", self.element)
-    _check(self, *ids, _text("category", self.category), _text("description", self.description))
-    object.__setattr__(self, "causes", tuple(self.causes))
-    object.__setattr__(self, "effects", tuple(self.effects))
+    texts = _text("category", self.category), _text("description", self.description)
+    plan = None if self.control is None else _record("control", self.control, ControlPlan)
+    _check(self, *ids, *texts, bad_causes, bad_effects, plan)
+    object.__setattr__(self, "causes", causes)
+    object.__setattr__(self, "effects", effects)
 
 
 def _design_model(self):
-    for name in ("requirements", "functions", "components", "rf", "fc", "failure_modes"):
-        object.__setattr__(self, name, tuple(getattr(self, name)))
+    # With the rule the hand-written constructor added: each field holds its own record class.
+    names = ("requirements", "functions", "components", "rf", "fc", "failure_modes")
+    classes = (Requirement, Function, Component, MappingEdge, MappingEdge, FailureMode)
+    held = [_held(name, getattr(self, name), cls) for name, cls in zip(names, classes)]
+    _check(self, _record("meta", self.meta, Meta), *(problem for _, problem in held))
+    for name, (values, _) in zip(names, held):
+        object.__setattr__(self, name, values)
 
 
 def _rank_band(self):
