@@ -18,13 +18,13 @@ implementations against an independent route on small models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .model import (
     DesignModel,
     Domain,
     FailureMode,
+    _Record,
     _slot_setters,
     element_domain,
     element_text,
@@ -53,8 +53,7 @@ class MissingDetection(AnalysisError):
     pass
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class RpnRow:
+class RpnRow(_Record):
     """One prioritized failure mode with its three ranks and RPN.
 
     The (severity, occurrence, detection) triple is kept alongside the
@@ -62,6 +61,7 @@ class RpnRow:
     them would hide which one is on the table.
     """
 
+    __slots__ = ("fm_id", "element_id", "domain", "severity", "occurrence", "detection", "rpn", "rank_position")
     fm_id: str
     element_id: str
     domain: Domain
@@ -97,10 +97,10 @@ class RpnRow:
 _RPN_ROW_SLOTS = _slot_setters(RpnRow)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class AnalysisResult:
+class AnalysisResult(_Record):
     """Propagated rank maps plus one prioritized row per failure mode."""
 
+    __slots__ = ("severity", "occurrence", "detection", "rows")
     severity: dict[str, int]
     occurrence: dict[str, int]
     detection: dict[str, int]
@@ -119,10 +119,10 @@ class AnalysisResult:
 _ANALYSIS_RESULT_SLOTS = _slot_setters(AnalysisResult)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class TraceHop:
+class TraceHop(_Record):
     """One element on a trace, with one of its failure modes if it has any."""
 
+    __slots__ = ("element_id", "failure_mode_id", "text")
     element_id: str
     failure_mode_id: str | None
     text: str
@@ -137,13 +137,13 @@ class TraceHop:
 _TRACE_HOP_SLOTS = _slot_setters(TraceHop)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class TraceChain:
+class TraceChain(_Record):
     """Single-hop adjacency walk from a failure mode, up toward effects
     or down toward causes. Hops for the same element stay adjacent;
     consecutive hops on different elements are joined by an rf or fc edge.
     """
 
+    __slots__ = ("direction", "hops")
     direction: str
     hops: tuple[TraceHop, ...]
 
@@ -177,8 +177,7 @@ def _fm_domain(model: DesignModel, fm: FailureMode) -> Domain | None:
     return entry[0] if entry is not None else None
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class RatingTable:
+class RatingTable(_Record):
     """Own (severity, occurrence, detection) per failure mode, in model order,
     the three propagated maps, and per rating each element's first unrated
     failure mode (occurrence and detection on components only).
@@ -188,6 +187,7 @@ class RatingTable:
     takes the propagated value.
     """
 
+    __slots__ = ("ratings", "severity", "occurrence", "detection", "unrated")
     ratings: tuple[tuple[int | None, int | None, int | None], ...]
     severity: dict[str, int]
     occurrence: dict[str, int]

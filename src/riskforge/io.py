@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import partial
 from json.decoder import scanstring
 from json.encoder import encode_basestring as _str
@@ -69,16 +68,17 @@ from .model import (
     Requirement,
     _FieldError,
     _SURROGATE,
+    _Record,
     _slot_setters,
 )
 from .rating import ALL_SEVERITY_CLASS_NAMES
 from .validation import Path, _structural_errors, render_path
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ParseError:
+class ParseError(_Record):
     """One problem in a model document, located by line and column."""
 
+    __slots__ = ("line", "column", "code", "message")
     line: int
     column: int
     code: str

@@ -15,9 +15,10 @@ reports every bad field at once; the parser builds records through them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
+from reprlib import recursive_repr
 
 
 class Domain(str, Enum):
@@ -238,6 +239,103 @@ def _record(field: str, value: object, cls: type) -> tuple | None:
     return None if isinstance(value, cls) else (field, "Type", f"expected a {cls.__name__}")
 
 
+class _DataclassView:
+    """A record class's ``__dataclass_fields__`` or ``__dataclass_params__``.
+
+    On first read, ``dataclasses`` decorates a stand-in class with the
+    record's annotations, defaults and options, and both of the stand-in's
+    attributes are kept on the record class, where later reads find them.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance: object, owner: type) -> object:
+        record = next((cls for cls in owner.__mro__ if "_values" in cls.__dict__), None)
+        if record is None:
+            raise AttributeError(self.name)
+        import dataclasses
+
+        init = record.__init__
+        names = init.__code__.co_varnames[1 : init.__code__.co_argcount]
+        defaults = dict(zip(reversed(names), reversed(init.__defaults__ or ())))
+        namespace = {**defaults, "__annotations__": record.__annotations__, "__module__": record.__module__}
+        slots = "__slots__" in record.__dict__
+        stand_in = dataclasses.dataclass(frozen=True, init=False, slots=slots)(type(record.__name__, (), namespace))
+        record.__dataclass_fields__ = stand_in.__dataclass_fields__
+        record.__dataclass_params__ = stand_in.__dataclass_params__
+        return getattr(record, self.name)
+
+
+class _Record:
+    """Base of every record: a frozen value compared, hashed and shown by its fields.
+
+    A record lists its fields as annotations in its own body, in order, and
+    a slotted record declares the same names as ``__slots__``; its own
+    ``__init__`` fills them. The methods below behave as those that
+    ``@dataclass(frozen=True)`` generates, written once instead of per
+    class, so no record needs the ``dataclasses`` module at import. The
+    dataclass protocol still holds: ``dataclasses.fields``, ``replace``,
+    ``astuple`` and ``is_dataclass`` read ``__dataclass_fields__``, which
+    ``dataclasses`` builds on its first read.
+    """
+
+    __slots__ = ()
+    __dataclass_fields__ = _DataclassView()
+    __dataclass_params__ = _DataclassView()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        names = tuple(cls.__annotations__)
+        if not names:
+            return  # a subclass that adds no fields keeps its parent's
+        if len(names) < 2 or cls.__dict__.get("__slots__", names) != names:
+            raise TypeError(f"{cls.__name__} needs two or more fields, and __slots__ naming them in order")
+        cls.__match_args__ = names
+        # The field values as one tuple, as the generated methods build it; attrgetter gives a
+        # tuple only for two or more names. It reads each field by name, so a comparison costs
+        # more than generated code does (no run of the pipeline compares records).
+        cls._values = attrgetter(*names)
+        if "__slots__" in cls.__dict__:
+            # What a frozen slotted dataclass adds so that pickle and copy can restore it.
+            cls.__getstate__ = _getstate
+            cls.__setstate__ = _setstate
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    @recursive_repr()  # "..." inside itself, as the generated repr shows it
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values(self)))
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise _frozen(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise _frozen(f"cannot delete field {name!r}")
+
+
+def _getstate(self: _Record) -> list:
+    return list(self._values(self))
+
+
+def _setstate(self: _Record, state: list) -> None:
+    for name, value in zip(self.__match_args__, state):
+        object.__setattr__(self, name, value)
+
+
+def _frozen(message: str) -> AttributeError:
+    from dataclasses import FrozenInstanceError
+
+    return FrozenInstanceError(message)
+
+
 def _slot_setters(cls: type) -> tuple:
     """The ``__set__`` of each field slot of a slotted record, in field order.
 
@@ -248,10 +346,10 @@ def _slot_setters(cls: type) -> tuple:
     return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Meta:
+class Meta(_Record):
     """Product name and model version carried alongside the design."""
 
+    __slots__ = ("product", "version")
     product: str
     version: str
 
@@ -265,10 +363,10 @@ class Meta:
 _META_SLOTS = _slot_setters(Meta)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Requirement:
+class Requirement(_Record):
     """A customer-facing need the product is inspected against."""
 
+    __slots__ = ("id", "text")
     id: str
     text: str
 
@@ -282,10 +380,10 @@ class Requirement:
 _REQUIREMENT_SLOTS = _slot_setters(Requirement)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Flow:
+class Flow(_Record):
     """A material, energy, or information stream into or out of a function."""
 
+    __slots__ = ("description", "kind")
     description: str
     kind: str
 
@@ -299,15 +397,15 @@ class Flow:
 _FLOW_SLOTS = _slot_setters(Flow)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Function:
+class Function(_Record):
     """A design intent phrased as verb plus noun, with optional flows."""
 
+    __slots__ = ("id", "verb", "noun", "inputs", "outputs")
     id: str
     verb: str
     noun: str
-    inputs: tuple[Flow, ...] = ()
-    outputs: tuple[Flow, ...] = ()
+    inputs: tuple[Flow, ...]
+    outputs: tuple[Flow, ...]
 
     def __init__(
         self, id: str, verb: str, noun: str, inputs: tuple[Flow, ...] = (), outputs: tuple[Flow, ...] = ()
@@ -330,13 +428,13 @@ class Function:
 _FUNCTION_SLOTS = _slot_setters(Function)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Component:
+class Component(_Record):
     """A concrete solution concept chosen to achieve one or more functions."""
 
+    __slots__ = ("id", "name", "concept")
     id: str
     name: str
-    concept: str | None = None
+    concept: str | None
 
     def __init__(self, id: str, name: str, concept: str | None = None) -> None:
         _check(self, _id("id", id), _text("name", name), _optional_utf8("concept", concept))
@@ -349,10 +447,10 @@ class Component:
 _COMPONENT_SLOTS = _slot_setters(Component)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class MappingEdge:
+class MappingEdge(_Record):
     """One binary mapping entry; an edge present means the matrix cell is 1."""
 
+    __slots__ = ("source", "target")
     source: str
     target: str
 
@@ -366,8 +464,7 @@ class MappingEdge:
 _MAPPING_EDGE_SLOTS = _slot_setters(MappingEdge)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Frequency:
+class Frequency(_Record):
     """An exact failures-per-opportunities rate.
 
     Kept as an integer pair and compared as an exact rational; several band
@@ -375,6 +472,7 @@ class Frequency:
     floating point.
     """
 
+    __slots__ = ("numerator", "denominator")
     numerator: int
     denominator: int
 
@@ -399,13 +497,13 @@ class Frequency:
 _FREQUENCY_SLOTS = _slot_setters(Frequency)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Cause:
+class Cause(_Record):
     """A reason that can produce a failure mode, optionally rated for occurrence."""
 
+    __slots__ = ("text", "occurrence_rank", "frequency")
     text: str
-    occurrence_rank: int | None = None
-    frequency: Frequency | None = None
+    occurrence_rank: int | None
+    frequency: Frequency | None
 
     def __init__(self, text: str, occurrence_rank: int | None = None, frequency: Frequency | None = None) -> None:
         # Only a Frequency is rated as a rate: a float, a bool or a Fraction would be too, silently.
@@ -421,13 +519,13 @@ class Cause:
 _CAUSE_SLOTS = _slot_setters(Cause)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Effect:
+class Effect(_Record):
     """A negative impact of a failure mode, optionally rated for severity."""
 
+    __slots__ = ("text", "severity_class", "severity_rank")
     text: str
-    severity_class: str | None = None
-    severity_rank: int | None = None
+    severity_class: str | None
+    severity_rank: int | None
 
     def __init__(self, text: str, severity_class: str | None = None, severity_rank: int | None = None) -> None:
         ratings = _writable("severity_class", severity_class), _writable("severity_rank", severity_rank)
@@ -441,13 +539,13 @@ class Effect:
 _EFFECT_SLOTS = _slot_setters(Effect)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ControlPlan:
+class ControlPlan(_Record):
     """How a failure cause is currently detected, optionally rated."""
 
+    __slots__ = ("method_class", "method_text", "detection_rank")
     method_class: str
-    method_text: str | None = None
-    detection_rank: int | None = None
+    method_text: str | None
+    detection_rank: int | None
 
     def __init__(self, method_class: str, method_text: str | None = None, detection_rank: int | None = None) -> None:
         choice = _choice("method_class", method_class, CONTROL_METHOD_CLASSES, "control method class")
@@ -461,17 +559,17 @@ class ControlPlan:
 _CONTROL_PLAN_SLOTS = _slot_setters(ControlPlan)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class FailureMode:
+class FailureMode(_Record):
     """One way an element fails, with its causes, effects, and control plan."""
 
+    __slots__ = ("id", "element", "category", "description", "causes", "effects", "control")
     id: str
     element: str
     category: str
     description: str
-    causes: tuple[Cause, ...] = ()
-    effects: tuple[Effect, ...] = ()
-    control: ControlPlan | None = None
+    causes: tuple[Cause, ...]
+    effects: tuple[Effect, ...]
+    control: ControlPlan | None
 
     def __init__(
         self,
@@ -502,8 +600,7 @@ class FailureMode:
 _FAILURE_MODE_SLOTS = _slot_setters(FailureMode)
 
 
-@dataclass(frozen=True, eq=True, init=False)
-class DesignModel:
+class DesignModel(_Record):
     """A complete design: elements, the two mappings, and all failure modes.
 
     Construction normalizes list fields to tuples and checks that each
@@ -514,12 +611,12 @@ class DesignModel:
     """
 
     meta: Meta
-    requirements: tuple[Requirement, ...] = ()
-    functions: tuple[Function, ...] = ()
-    components: tuple[Component, ...] = ()
-    rf: tuple[MappingEdge, ...] = ()
-    fc: tuple[MappingEdge, ...] = ()
-    failure_modes: tuple[FailureMode, ...] = ()
+    requirements: tuple[Requirement, ...]
+    functions: tuple[Function, ...]
+    components: tuple[Component, ...]
+    rf: tuple[MappingEdge, ...]
+    fc: tuple[MappingEdge, ...]
+    failure_modes: tuple[FailureMode, ...]
 
     def __init__(
         self,

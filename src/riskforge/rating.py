@@ -14,23 +14,22 @@ files the findings; the rating table keeps the ratings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import (
     CONTROL_METHOD_CLASSES,
     Domain,
     FailureMode,
     Frequency,
     _by_domain,
+    _Record,
     _slot_setters,
     is_valid_rank,
 )
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class RankBand:
+class RankBand(_Record):
     """An inclusive range of ranks on the 1..10 scale."""
 
+    __slots__ = ("lo", "hi")
     lo: int
     hi: int
 

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path as FsPath
 
 from .analysis import AnalysisResult, RpnRow, _prioritize
 from .io import _scalar, _str
-from .model import DesignModel, Domain, _slot_setters, element_text
+from .model import DesignModel, Domain, _Record, _slot_setters, element_text
 from .validation import ANALYSIS_READY, Finding, ValidationReport, _complete, _structural_errors
 
 FMEA_CSV_HEADER = (
@@ -56,10 +55,13 @@ class ValidationFailed(Exception):
         )
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class FmeaRow:
+class FmeaRow(_Record):
     """One worksheet line: the failure mode, its text columns, and ranks."""
 
+    __slots__ = (
+        "element_id", "element_text", "fm_id", "category", "description", "effects", "severity",
+        "causes", "occurrence", "control", "detection", "rpn", "rank_position",
+    )
     element_id: str
     element_text: str
     fm_id: str
@@ -110,10 +112,10 @@ class FmeaRow:
 _FMEA_ROW_SLOTS = _slot_setters(FmeaRow)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class FmeaDocument:
+class FmeaDocument(_Record):
     """The worksheet for one element domain, in overall priority order."""
 
+    __slots__ = ("domain", "rows")
     domain: Domain
     rows: tuple[FmeaRow, ...]
 
@@ -126,11 +128,11 @@ class FmeaDocument:
 _FMEA_DOCUMENT_SLOTS = _slot_setters(FmeaDocument)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class PriorityRow:
+class PriorityRow(_Record):
     """One element of a priority report: its text, its propagated severity
     (None when unrated) and its 1-based place in the report."""
 
+    __slots__ = ("element_id", "element_text", "severity", "position")
     element_id: str
     element_text: str
     severity: int | None
@@ -147,17 +149,17 @@ class PriorityRow:
 _PRIORITY_ROW_SLOTS = _slot_setters(PriorityRow)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class PriorityReport:
+class PriorityReport(_Record):
     """Elements of one domain ordered by propagated severity.
 
     Elements the severity map does not cover are appended after the rated
     ones, with their absence noted in ``warnings``.
     """
 
+    __slots__ = ("domain", "rows", "warnings")
     domain: Domain
     rows: tuple[PriorityRow, ...]
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...]
 
     def __init__(self, domain: Domain, rows: tuple[PriorityRow, ...], warnings: tuple[str, ...] = ()) -> None:
         set_domain, set_rows, set_warnings = _PRIORITY_REPORT_SLOTS
@@ -169,10 +171,12 @@ class PriorityReport:
 _PRIORITY_REPORT_SLOTS = _slot_setters(PriorityReport)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ArtifactBundle:
+class ArtifactBundle(_Record):
     """The five artifacts of one run and the validation report they passed."""
 
+    __slots__ = (
+        "requirement_priority", "function_priority", "component_fmea", "function_fmea", "requirement_fmea", "validation"
+    )
     requirement_priority: PriorityReport
     function_priority: PriorityReport
     component_fmea: FmeaDocument
@@ -334,10 +338,10 @@ def _json_row(header: tuple[str, ...]) -> list[str | None]:
 
 
 #: One layout per artifact kind: its header, whose names are also the json
-#: row keys; the row attributes, which the row dataclasses declare in header
-#: order; and the json row text around the values.
+#: row keys; the row attributes, which the row records declare as slots in
+#: header order; and the json row text around the values.
 _LAYOUTS = {
-    kind: (header, attrgetter(*(field.name for field in fields(row))), _json_row(header))
+    kind: (header, attrgetter(*row.__slots__), _json_row(header))
     for kind, header, row in (
         (FmeaDocument, FMEA_CSV_HEADER, FmeaRow), (PriorityReport, PRIORITY_CSV_HEADER, PriorityRow)
     )

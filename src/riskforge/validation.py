@@ -12,11 +12,9 @@ mode; the rating table reads its ratings from the same function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import analysis as _analysis
 from .analysis import _fm_domain
-from .model import ALL_CATEGORY_NAMES, DesignModel, Domain, _slot_setters, allowed_categories
+from .model import ALL_CATEGORY_NAMES, DesignModel, Domain, _Record, _slot_setters, allowed_categories
 from .rating import Problem, own_ratings
 
 STRUCTURAL = "structural"
@@ -28,10 +26,10 @@ WARNING = "warning"
 Path = tuple[str | int, ...]
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Finding:
+class Finding(_Record):
     """One validation finding, anchored to a model path."""
 
+    __slots__ = ("severity", "code", "message", "path")
     severity: str
     code: str
     message: str
@@ -55,10 +53,10 @@ class Finding:
 _FINDING_SLOTS = _slot_setters(Finding)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ValidationReport:
+class ValidationReport(_Record):
     """All findings for one model, deterministically ordered."""
 
+    __slots__ = ("strictness", "findings")
     strictness: str
     findings: tuple[Finding, ...]
 

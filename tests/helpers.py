@@ -8,6 +8,7 @@ through seeds.
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import random
 from pathlib import Path
@@ -36,6 +37,8 @@ from riskforge import (
     occurrence_band,
     severity_band,
 )
+
+CAMERA_JSON = Path(__file__).resolve().parent.parent / "sample_models" / "camera.json"
 
 CATEGORIES_BY_DOMAIN = {
     Domain.REQUIREMENT: REQUIREMENT_CATEGORIES,
@@ -429,3 +432,14 @@ def child_env() -> dict[str, str]:
     source = str(Path(riskforge.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": source if not path else os.pathsep.join((source, path))}
+
+
+def camera_cut_off_from_its_requirement() -> str:
+    """camera.json without the effects of f_exec's failure modes and without the rf edges into
+    f_exec: r_photo reaches no component, and nothing gives f_exec a severity."""
+    data = json.loads(CAMERA_JSON.read_text(encoding="utf-8"))
+    for fm in data["failure_modes"]:
+        if fm["element"] == "f_exec":
+            del fm["effects"]
+    data["rf"] = [edge for edge in data["rf"] if edge[1] != "f_exec"]
+    return json.dumps(data, indent=2)

@@ -1,7 +1,10 @@
 """Propagation, row assembly, tracing, and the enumeration oracle."""
 
+import json
+
 import pytest
 
+from helpers import camera_cut_off_from_its_requirement
 from riskforge import (
     Cause,
     Component,
@@ -24,6 +27,7 @@ from riskforge import (
     backward_occurrence,
     forward_severity,
     oracle_propagate,
+    parse_model,
     trace,
 )
 from riskforge.analysis import resolve_fm_detection, resolve_fm_occurrence, resolve_fm_severity
@@ -405,6 +409,24 @@ class TestAnalyze:
             ("assign_detection", "MissingDetection", "fm_c"),
         ]
 
+    @pytest.mark.parametrize(
+        "first, raised, message",
+        [
+            ("fm_photo", MissingOccurrence, 'failure mode "fm_photo" has no occurrence source'),
+            ("fm_exec", MissingSeverity, 'failure mode "fm_exec" has no rated effect and no propagated severity'),
+        ],
+    )
+    def test_a_row_without_a_source_raises(self, first, raised, message):
+        # Every leaf is rated, so the table's leaf checks pass. Rows are rated in model order:
+        # r_photo maps onto no function, so fm_photo has no occurrence, and f_exec receives no
+        # severity, so fm_exec has none.
+        data = json.loads(camera_cut_off_from_its_requirement())
+        data["failure_modes"].sort(key=lambda fm: fm["id"] != first)
+        with pytest.raises(raised) as excinfo:
+            analyze(parse_model(json.dumps(data)))
+        assert excinfo.value.failure_mode_id == first
+        assert str(excinfo.value) == message
+
 
 class TestTrace:
     def test_effects_from_the_component(self, camera_model):
@@ -420,6 +442,37 @@ class TestTrace:
         assert [(h.element_id, h.text) for h in chain.hops] == [
             ("f_exec", "Camera module cannot be executed"),
             ("c_cam", "Camera module is damaged"),
+        ]
+
+    def test_effects_from_the_function(self, camera_model):
+        chain = trace(camera_model, "fm_exec", "effects")
+        assert chain.direction == "effects"
+        assert [(h.element_id, h.failure_mode_id, h.text) for h in chain.hops] == [
+            ("f_exec", "fm_exec", "Camera module cannot be executed"),
+            ("r_photo", "fm_photo", "A user cannot take photos"),
+        ]
+
+    def test_effects_from_a_function_climb_one_level_in_id_order(self):
+        model = model_of(
+            requirements=["r_b", "r_a", "r_c"],
+            functions=["f1"],
+            components=["c1"],
+            rf=[("r_b", "f1"), ("r_a", "f1")],
+            fc=[("f1", "c1")],
+            fms=[sev_fm("fm1", "f1", 5), sev_fm("fm_b", "r_b", 7), occ_fm("fm_c", "c1", ranks=(5,))],
+        )
+        chain = trace(model, "fm1", "effects")
+        assert [(h.element_id, h.failure_mode_id, h.text) for h in chain.hops] == [
+            ("f1", "fm1", "failure fm1"),
+            ("r_a", None, "requirement r_a"),
+            ("r_b", "fm_b", "failure fm_b"),
+        ]
+
+    def test_causes_from_the_component_is_a_single_hop(self, camera_model):
+        chain = trace(camera_model, "fm_damage", "causes")
+        assert chain.direction == "causes"
+        assert [(h.element_id, h.failure_mode_id, h.text) for h in chain.hops] == [
+            ("c_cam", "fm_damage", "Camera module is damaged"),
         ]
 
     def test_effects_from_a_requirement_is_a_single_hop(self, camera_model):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import child_env, make_camera_model, make_smartphone_model
+from helpers import camera_cut_off_from_its_requirement, child_env, make_camera_model, make_smartphone_model
 from riskforge import __version__, analysis, serialize_model, validation
 from riskforge.cli import _parser, main
 
@@ -168,6 +168,18 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_a_model_analyze_cannot_rate_exits_one(self, tmp_path, capsys):
+        # Public analyze raises MissingOccurrence on this model; the command reports the findings.
+        path = tmp_path / "cut.json"
+        path.write_text(camera_cut_off_from_its_requirement(), encoding="utf-8")
+        assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert 'failure mode "fm_exec" has no rated effect' in captured.err
+        assert "[NoSeveritySource]" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_no_detection_propagation_flag(self, camera_path, tmp_path):
         out_dir = tmp_path / "reports"
         main(["analyze", camera_path, "--out", str(out_dir), "--no-detection-propagation"])
@@ -220,6 +232,31 @@ class TestTraceCommand:
 
     def test_bad_direction_is_usage_error(self, camera_path):
         assert main(["trace", camera_path, "--fm", "fm_exec", "--direction", "up"]) == 2
+
+
+class TestHashSeed:
+    #: Analyze one model in all three formats, each into its own directory.
+    ANALYZE = (
+        "import sys\n"
+        "from riskforge.cli import main\n"
+        "for fmt in ('csv', 'md', 'json'):\n"
+        "    assert main(['analyze', sys.argv[1], '--out', f'{sys.argv[2]}/{fmt}', '--format', fmt]) == 0\n"
+    )
+
+    def test_artifacts_do_not_depend_on_the_hash_seed(self, tmp_path):
+        bulk = tmp_path / "bulk.json"
+        bulk.write_text(gen.canonical(gen.bulk_model(5, n=200)[0]), encoding="utf-8")
+        for model in (CAMERA_JSON, bulk):
+            runs = []
+            for seed in ("0", "1", "2"):
+                out = tmp_path / f"{model.stem}-{seed}"
+                env = {**child_env(), "PYTHONHASHSEED": seed}
+                subprocess.run(
+                    [sys.executable, "-c", self.ANALYZE, str(model), str(out)], env=env, check=True, timeout=120
+                )
+                runs.append({path.relative_to(out).as_posix(): path.read_bytes() for path in out.glob("*/*")})
+            assert len(runs[0]) == 15
+            assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 class TestRankCommand:

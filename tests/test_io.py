@@ -202,6 +202,18 @@ class TestSyntaxErrors:
             "line 3, column 34: duplicate key 'id' [DuplicateKey]",
         ]
 
+    def test_unterminated_escape_sequence(self):
+        text = CAMERA_JSON.read_text(encoding="utf-8")
+        text = text[: text.index("Take photos")] + "Take \\"
+        assert [str(e) for e in errors_of(text)] == ["line 9, column 22: unterminated escape sequence [Syntax]"]
+
+    @pytest.mark.parametrize("number", ["-", "1.", "1e"], ids=["no-digit", "no-fraction-digit", "no-exponent-digit"])
+    def test_invalid_number(self, number):
+        lines = CAMERA_JSON.read_text(encoding="utf-8").split("\n")
+        assert lines[59].endswith('"severity_rank": 6')
+        lines[59] = lines[59][:-1] + number
+        assert [str(e) for e in errors_of("\n".join(lines))] == ["line 60, column 28: invalid number [Syntax]"]
+
     def test_surrogate_pair_escape_is_one_character(self):
         model = parse_model(MINIMAL.replace("do the thing", "do \\ud83d\\ude00 thing"))
         assert model.requirements[0].text == "do \U0001f600 thing"

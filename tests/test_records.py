@@ -1,26 +1,30 @@
-"""Record constructors: each record's own ``__init__`` against the dataclass-generated one.
+"""Records against dataclass-generated references.
 
-Every record is a frozen dataclass whose ``__init__`` is written by hand: it
-checks its arguments, then fills each slot once. The references below are
-the same dataclasses with a generated ``__init__`` and the checks in
-``__post_init__``, reading the fields back. Drawn arguments, good and bad,
-must give equal values, equal ``_FieldError.problems``, or the same
-exception, and the records must keep what the dataclass machinery gives
-them (``replace``, ``==``, ``hash``, ``repr``, ``astuple``, frozen slots,
-``__match_args__`` and the constructor's signature).
+Every record is a ``model._Record`` whose ``__init__`` is written by hand:
+it checks its arguments, then fills each slot once. The references below
+are frozen dataclasses with the same fields, a generated ``__init__`` and
+the checks in ``__post_init__``, reading the fields back. Drawn arguments,
+good and bad, must give equal values, equal ``_FieldError.problems``, or
+the same exception, and the records must keep what the dataclass machinery
+gives them (``replace``, ``==``, ``hash``, ``repr``, ``astuple``, pickle,
+``copy``, frozen slots, ``__match_args__`` and the constructor's
+signature) without importing ``dataclasses`` at start-up.
 """
 
+import copy
 import dataclasses
 import inspect
+import pickle
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import child_env
-from riskforge.analysis import AnalysisResult, RatingTable, RpnRow, TraceChain, TraceHop
+from helpers import child_env, make_camera_model
+from riskforge.analysis import AnalysisResult, RatingTable, RpnRow, TraceChain, TraceHop, analyze, rating_table, trace
 from riskforge.io import ParseError
 from riskforge.model import (
     CONTROL_METHOD_CLASSES,
@@ -50,8 +54,8 @@ from riskforge.model import (
     _writable,
     is_valid_rank,
 )
-from riskforge.rating import RankBand
-from riskforge.reports import ArtifactBundle, FmeaDocument, FmeaRow, PriorityReport, PriorityRow
+from riskforge.rating import BANDS, RankBand
+from riskforge.reports import ArtifactBundle, FmeaDocument, FmeaRow, PriorityReport, PriorityRow, run_procedure
 from riskforge.validation import Finding, ValidationReport
 
 # The checks each record ran in ``__post_init__`` when its ``__init__`` was generated.
@@ -290,6 +294,112 @@ def test_the_dataclass_surface_is_unchanged(cls):
     assert cls.__doc__ and not cls.__doc__.startswith(f"{cls.__name__}(")
 
 
+def _samples():
+    """Up to three values of every record, from one run of the camera model and a few more."""
+    model = make_camera_model()
+    roots = [
+        model,
+        run_procedure(model),
+        analyze(model),
+        rating_table(model),
+        trace(model, "fm_damage", "effects"),
+        BANDS,
+        Cause("rated", frequency=Frequency(1, 1000)),
+        ParseError(1, 2, "Syntax", "unexpected end of input"),
+    ]
+    found = {cls: [] for cls in RECORDS}
+    while roots:
+        value = roots.pop()
+        if type(value) in found:
+            # Built again from its fields, so a DesignModel carries no index yet.
+            found[type(value)].append(type(value)(*(getattr(value, name) for name in type(value).__match_args__)))
+            roots.extend(getattr(value, name) for name in type(value).__match_args__)
+        elif isinstance(value, (tuple, list)):
+            roots.extend(value)
+        elif isinstance(value, dict):
+            roots.extend(value.values())
+    assert all(found.values()), [cls.__name__ for cls, values in found.items() if not values]
+    return [(cls, value) for cls, values in found.items() for value in values[:3]]
+
+
+SAMPLES = _samples()
+SAMPLE_IDS = [f"{cls.__name__}-{i}" for i, (cls, _) in enumerate(SAMPLES)]
+
+
+def _as_reference(value):
+    return REFERENCES[type(value)](*(getattr(value, f.name) for f in dataclasses.fields(value)))
+
+
+def _reduced(value, protocol):
+    """What pickle and copy take from ``value``, with its class left out so that a record and
+    its reference compare."""
+    function, arguments, *rest = value.__reduce_ex__(protocol)
+    return function, tuple("class" if argument is type(value) else argument for argument in arguments), *rest
+
+
+def _match_positionally(cls, value, count):
+    """The values a class pattern of ``count`` positional captures binds, or None if it fails."""
+    names = ", ".join(f"v{i}" for i in range(count))
+    scope = {"cls": cls, "value": value}
+    exec(f"match value:\n    case cls({names}):\n        got = [{names}]\n    case _:\n        got = None", scope)
+    return scope["got"]
+
+
+@pytest.mark.parametrize("cls, value", SAMPLES, ids=SAMPLE_IDS)
+def test_pickle_copy_and_match_as_the_generated_one(cls, value):
+    reference = _as_reference(value)
+    assert repr(value) == repr(reference)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert _reduced(value, protocol) == _reduced(reference, protocol)
+        again = pickle.loads(pickle.dumps(value, protocol))
+        assert type(again) is cls and again == value and repr(again) == repr(value)
+    shallow, deep = copy.copy(value), copy.deepcopy(value)
+    assert type(shallow) is cls and shallow == value and shallow is not value
+    assert all(getattr(shallow, name) is getattr(value, name) for name in cls.__match_args__)
+    assert type(deep) is cls and deep == value and repr(deep) == repr(copy.deepcopy(reference))
+    fields = [getattr(value, name) for name in cls.__match_args__]
+    assert _match_positionally(cls, value, len(fields)) == fields
+    assert _match_positionally(REFERENCES[cls], reference, len(fields)) == fields
+    for record, example in ((cls, value), (REFERENCES[cls], reference)):
+        with pytest.raises(TypeError, match=f"accepts {len(fields)} positional sub-patterns"):
+            _match_positionally(record, example, len(fields) + 1)
+
+
+@pytest.mark.parametrize("cls, value", SAMPLES, ids=SAMPLE_IDS)
+def test_frozen_and_slotted_as_the_generated_one(cls, value):
+    reference = _as_reference(value)
+    # Another name too: a generated slotted __setattr__ raises TypeError for it (its super() names
+    # the class from before the slots were added), a record the same FrozenInstanceError.
+    for example, names in ((value, (cls.__match_args__[0], "other")), (reference, cls.__match_args__[:1])):
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(example, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
+                delattr(example, name)
+    slotted = "__slots__" in cls.__dict__
+    assert hasattr(value, "__dict__") is hasattr(reference, "__dict__") is not slotted
+    if slotted:
+        with pytest.raises(TypeError):
+            weakref.ref(value)
+    else:
+        assert weakref.ref(value)() is value
+    assert dataclasses.astuple(value) == dataclasses.astuple(reference)
+    assert dataclasses.asdict(value) == dataclasses.asdict(reference)
+    assert [(f.name, f.type, f.default) for f in dataclasses.fields(value)] == [
+        (f.name, f.type, f.default) for f in dataclasses.fields(reference)
+    ]
+
+
+def test_a_record_inside_itself_shows_as_the_generated_repr_shows_it():
+    shown = []
+    for cls in (Finding, REFERENCES[Finding]):
+        path = []
+        finding = cls("error", "Code", "message", path)
+        path.append(finding)
+        shown.append(repr(finding))
+    assert shown == ["Finding(severity='error', code='Code', message='message', path=[...])"] * 2
+
+
 def _run(code):
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=60)
     assert done.returncode == 0, done.stderr
@@ -318,3 +428,16 @@ class TestStartUp:
         assert {cls.__name__ for cls in RECORDS} <= set(found)
         outside = {name: filename for name, filename in found.items() if not filename.startswith(package + "/")}
         assert outside == {}
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import riskforge.cli",
+            "from riskforge.cli import main\nassert main(['rank', 'occurrence', '1/1000']) == 0",
+        ],
+        ids=["import", "rank"],
+    )
+    def test_dataclasses_and_its_imports_are_not_loaded(self, code):
+        modules = ("dataclasses", "inspect", "ast", "dis")
+        out = _run(f"import sys\n{code}\nprint(sorted(set({modules!r}) & set(sys.modules)))")
+        assert out.splitlines()[-1] == "[]"
