@@ -2,10 +2,13 @@
 
 One engine rates a model. ``rating_table`` takes each failure mode's own
 ratings from ``rating.own_ratings``, the one copy of the rank rules, which
-validation checks through the same function. ``_propagate_max`` then
+validation checks through the same function. Within one validating call
+(``run_procedure``, ``validate_model`` at the analysis-ready level) the
+structural checks hand the ratings they read to the table, so each
+failure mode is read once per call. ``_propagate_max`` then
 carries severity forward (requirements to functions to components) and
 occurrence and detection, which originate at components, backward along
-the two mapping matrices, each as a maximum.
+the two mapping matrices, each as a running maximum.
 Propagation is two strata in each direction, so cycles cannot arise, and
 tolerant: the public entry points raise for the first unrated leaf of the
 ratings they need.
@@ -17,8 +20,6 @@ implementations against an independent route on small models.
 """
 
 from __future__ import annotations
-
-from operator import itemgetter
 
 from .model import (
     DesignModel,
@@ -223,11 +224,13 @@ def _propagate_max(seeds: tuple[dict[str, int], ...], steps) -> dict[str, int]:
     values: dict[str, int] = {}
     for own, (elements, upstream) in zip(seeds, steps):
         for element in elements:
-            found = [values[source] for source in upstream.get(element.id, ()) if source in values]
-            if element.id in own:
-                found.append(own[element.id])
-            if found:
-                values[element.id] = max(found)
+            best = own.get(element.id)
+            for source in upstream.get(element.id, ()):
+                value = values.get(source)
+                if value is not None and (best is None or value > best):
+                    best = value
+            if best is not None:
+                values[element.id] = best
     return values
 
 
@@ -235,18 +238,24 @@ def rating_table(model: DesignModel) -> RatingTable:
     """Rate every failure mode once, then propagate tolerantly: unrated
     failure modes contribute nothing. Occurrence and detection originate at
     components only."""
+    return _rating_table(model, None)
+
+
+def _rating_table(model: DesignModel, ratings: list | None) -> RatingTable:
+    """``rating_table`` from each failure mode's own ratings in model order,
+    as ``own_ratings`` gives them; read here when ``ratings`` is None."""
+    if ratings is None:
+        elements = model.elements_by_id
+        problems: list = []  # the structural stage reports these; unread here
+        ratings = []
+        for fm in model.failure_modes:
+            entry = elements.get(fm.element)
+            ratings.append(own_ratings(None if entry is None else entry[0], fm, problems))
     component_ids = {component.id for component in model.components}
-    elements = model.elements_by_id
-    ratings = []
     seeds: tuple[dict[str, int], ...] = ({}, {}, {})
     unrated: tuple[dict[str, str], ...] = ({}, {}, {})
-    problems: list = []  # the structural stage reports these; unread here
-    for fm in model.failure_modes:
-        entry = elements.get(fm.element)
-        own = own_ratings(None if entry is None else entry[0], fm, problems)
-        on_component = fm.element in component_ids
-        ratings.append(own)
-        for kind in (0, 1, 2) if on_component else (0,):
+    for fm, own in zip(model.failure_modes, ratings):
+        for kind in (0, 1, 2) if fm.element in component_ids else (0,):
             if own[kind] is None:
                 unrated[kind].setdefault(fm.element, fm.id)
             elif own[kind] > seeds[kind].get(fm.element, 0):
@@ -319,7 +328,7 @@ def analyze(model: DesignModel, *, propagate_detection: bool = True) -> Analysis
 
 def _prioritize(model: DesignModel, table: RatingTable, propagate_detection: bool) -> AnalysisResult:
     """``analyze`` on a rating table whose leaves are rated."""
-    keyed = []
+    rows = []
     for fm, (severity, occurrence, detection) in zip(model.failure_modes, table.ratings):
         domain = element_domain(model, fm.element)
 
@@ -346,12 +355,18 @@ def _prioritize(model: DesignModel, table: RatingTable, propagate_detection: boo
                 )
 
         value = rpn(severity, occurrence, detection) if detection is not None else severity * occurrence
-        fields = (fm.id, fm.element, domain, severity, occurrence, detection, value)
-        keyed.append(((-value, -severity, -occurrence, -(detection or 0), fm.element, fm.id), fields))
+        rows.append(RpnRow(fm.id, fm.element, domain, severity, occurrence, detection, value, 0))
 
-    keyed.sort(key=itemgetter(0))
-    rows = tuple(RpnRow(*fields, position) for position, (_, fields) in enumerate(keyed, start=1))
-    return AnalysisResult(table.severity, table.occurrence, table.detection, rows)
+    rows.sort(key=_priority_key)
+    # Positions go in once the order is known, before any caller sees a row.
+    set_rank = _RPN_ROW_SLOTS[-1]
+    for position, row in enumerate(rows, start=1):
+        set_rank(row, position)
+    return AnalysisResult(table.severity, table.occurrence, table.detection, tuple(rows))
+
+
+def _priority_key(row: RpnRow) -> tuple:
+    return (-row.rpn, -row.severity, -row.occurrence, -(row.detection or 0), row.element_id, row.fm_id)
 
 
 def trace(model: DesignModel, fm_id: str, direction: str) -> TraceChain:

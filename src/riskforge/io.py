@@ -44,11 +44,11 @@ from __future__ import annotations
 
 import json
 import re
+from collections import namedtuple
 from functools import partial
 from json.decoder import scanstring
 from json.encoder import encode_basestring as _str
 from operator import itemgetter
-from typing import NamedTuple
 
 from .model import (
     ALL_CATEGORY_NAMES,
@@ -716,12 +716,10 @@ def _walk_record(w: _Walker, value: object, path: Path, shape: _Shape):
 # the constructor by keyword, named as the file names its keys.
 
 
-class _Shape(NamedTuple):
+class _Shape(namedtuple("_Shape", ("cls", "keys", "allowed"))):
     """One record's file shape: its constructor, each ``(key, read)`` in file order, and its keys."""
 
-    cls: type
-    keys: tuple[tuple[str, object], ...]
-    allowed: frozenset[str]
+    __slots__ = ()
 
     def __call__(self, w: _Walker, value: object, path: Path):
         return _walk_record(w, value, path, self)

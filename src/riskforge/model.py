@@ -699,13 +699,19 @@ class DesignModel(_Record):
 
 
 def _group_edges(edges: tuple[MappingEdge, ...], by_target: bool) -> dict[str, tuple[str, ...]]:
-    grouped: dict[str, list[str]] = {}
-    seen: set[tuple[str, str]] = set()
+    # A dict of values per key drops repeated edges and keeps first-seen
+    # order; one of str keys and None values is never tracked by the collector.
+    grouped: dict[str, dict[str, None]] = {}
     for edge in edges:
-        key, value = (edge.target, edge.source) if by_target else (edge.source, edge.target)
-        if (key, value) not in seen:
-            seen.add((key, value))
-            grouped.setdefault(key, []).append(value)
+        if by_target:
+            key, value = edge.target, edge.source
+        else:
+            key, value = edge.source, edge.target
+        values = grouped.get(key)
+        if values is None:
+            grouped[key] = {value: None}
+        else:
+            values[value] = None
     return {key: tuple(values) for key, values in grouped.items()}
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 from .model import (
     CONTROL_METHOD_CLASSES,
     Domain,
+    RANK_MAX,
+    RANK_MIN,
     FailureMode,
     Frequency,
     _by_domain,
@@ -182,8 +184,9 @@ def own_ratings(
     ``domain``, the owning element's, None when unknown), frequency or
     control method class stands in. A given rank outside 1..10 and an
     in-range rank outside its band are appended to ``problems``, as are a
-    severity class that is no class at all or none of ``domain``'s.
-    Occurrence is read from every failure mode's causes; only the caller
+    severity class that is no class at all or none of ``domain``'s. A
+    problem's path is built only when the problem is appended, so an item
+    without problems builds none. Occurrence is read from every failure mode's causes; only the caller
     knows whether it counts.
     """
     occurrence = None
@@ -193,7 +196,7 @@ def own_ratings(
         rank = cause.occurrence_rank
         if rank is not None:
             mismatch = "occurrence rank {rank} is outside band {band} for frequency {item.frequency}"
-            rank = _given_rank(problems, ("causes", j, "occurrence_rank"), rank, band, mismatch, cause)
+            rank = _given_rank(problems, rank, band, mismatch, cause, "causes", j, "occurrence_rank")
         if rank is None and band is not None:
             rank = band.hi
         if rank is not None and (occurrence is None or rank > occurrence):
@@ -204,18 +207,18 @@ def own_ratings(
         band = None
         name = effect.severity_class
         if name is not None:
-            path = ("effects", j, "severity_class")
             if not isinstance(name, str) or name not in ALL_SEVERITY_CLASS_NAMES:
-                problems.append((path, "UnknownSeverityClass", f'"{name}" is not a severity class'))
+                message = f'"{name}" is not a severity class'
+                problems.append((("effects", j, "severity_class"), "UnknownSeverityClass", message))
             elif domain is not None:
                 band = _SEVERITY_BANDS[domain].get(name)
                 if band is None:
                     message = f'severity class "{name}" is not valid for {domain.value} elements'
-                    problems.append((path, "SeverityClassDomainMismatch", message))
+                    problems.append((("effects", j, "severity_class"), "SeverityClassDomainMismatch", message))
         rank = effect.severity_rank
         if rank is not None:
             mismatch = 'severity rank {rank} is outside band {band} for class "{item.severity_class}"'
-            rank = _given_rank(problems, ("effects", j, "severity_rank"), rank, band, mismatch, effect)
+            rank = _given_rank(problems, rank, band, mismatch, effect, "effects", j, "severity_rank")
         if rank is None and band is not None:
             rank = band.hi
         if rank is not None and (severity is None or rank > severity):
@@ -228,26 +231,42 @@ def own_ratings(
     detection = control.detection_rank
     if detection is not None:
         mismatch = 'detection rank {rank} is outside band {band} for control class "{item.method_class}"'
-        detection = _given_rank(problems, ("control", "detection_rank"), detection, band, mismatch, control)
+        detection = _given_rank(problems, detection, band, mismatch, control, "control", None, "detection_rank")
     return severity, occurrence, band.hi if detection is None else detection
 
 
 def _given_rank(
-    problems: list[Problem], path: tuple[str | int, ...], rank: object, band: RankBand | None, mismatch: str, item
+    problems: list[Problem],
+    rank: object,
+    band: RankBand | None,
+    mismatch: str,
+    item,
+    key: str,
+    index: int | None,
+    field: str,
 ) -> int | None:
     """``rank`` if it is valid, else None; a problem for a rank out of range or outside its band
-    (``mismatch`` formatted with the rank, the band and the rated item)."""
-    if not is_valid_rank(rank):
-        problems.append((path, "RankOutOfRange", f"rank must be an integer in 1..10, got {rank!r}"))
+    (``mismatch`` formatted with the rank, the band and the rated item), at the path
+    ``(key, index, field)``, or ``(key, field)`` when ``index`` is None."""
+    # A plain int in range is the common case, and needs no call.
+    if not (type(rank) is int and RANK_MIN <= rank <= RANK_MAX) and not is_valid_rank(rank):
+        message = f"rank must be an integer in 1..10, got {rank!r}"
+        problems.append((_item_path(key, index, field), "RankOutOfRange", message))
         return None
     if band is not None and not band.lo <= rank <= band.hi:
-        problems.append((path, "RankBandMismatch", mismatch.format(rank=rank, band=band, item=item)))
+        message = mismatch.format(rank=rank, band=band, item=item)
+        problems.append((_item_path(key, index, field), "RankBandMismatch", message))
     return rank
+
+
+def _item_path(key: str, index: int | None, field: str) -> tuple[str | int, ...]:
+    return (key, field) if index is None else (key, index, field)
 
 
 def rpn(severity: int, occurrence: int, detection: int) -> int:
     """Risk priority number: the product of the three ranks, in 1..1000."""
-    for name, value in (("severity", severity), ("occurrence", occurrence), ("detection", detection)):
-        if not is_valid_rank(value):
-            raise ValueError(f"{name} rank must be an integer in 1..10, got {value!r}")
+    if not (is_valid_rank(severity) and is_valid_rank(occurrence) and is_valid_rank(detection)):
+        for name, value in (("severity", severity), ("occurrence", occurrence), ("detection", detection)):
+            if not is_valid_rank(value):
+                raise ValueError(f"{name} rank must be an integer in 1..10, got {value!r}")
     return severity * occurrence * detection

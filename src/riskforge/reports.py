@@ -294,18 +294,23 @@ def _fmea_rows(model: DesignModel, rows: list[RpnRow]) -> tuple[FmeaRow, ...]:
 def run_procedure(model: DesignModel, *, propagate_detection: bool = True) -> ArtifactBundle:
     """Run the full pipeline: validate, propagate, prioritize, document.
 
-    Order of work, one pass each: the structural checks; the analysis-ready
-    report, whose rating checks read the one rating table (own ratings,
-    severity forward, occurrence and detection backward); prioritization
-    from that same table; the two priority reports and three worksheets.
+    Order of work, one pass each: the structural checks, which read each
+    failure mode's own ratings once; the analysis-ready report, whose rating
+    checks read the one rating table built from those same ratings (severity
+    forward, occurrence and detection backward); prioritization from that
+    same table; the two priority reports and three worksheets.
     Raises ValidationFailed when the model has validation errors.
     """
-    return _run_procedure(model, _structural_errors(model), propagate_detection)
+    ratings: list = []
+    return _run_procedure(model, _structural_errors(model, ratings), propagate_detection, ratings)
 
 
-def _run_procedure(model: DesignModel, errors: list[Finding], propagate_detection: bool) -> ArtifactBundle:
-    """``run_procedure`` after the structural checks, which found ``errors``."""
-    report, table = _complete(model, errors, ANALYSIS_READY)
+def _run_procedure(
+    model: DesignModel, errors: list[Finding], propagate_detection: bool, ratings: list | None = None
+) -> ArtifactBundle:
+    """``run_procedure`` after the structural checks, which found ``errors`` and read
+    ``ratings`` (None: the rating table reads them)."""
+    report, table = _complete(model, errors, ANALYSIS_READY, ratings)
     if report.has_errors:
         raise ValidationFailed(report)
 

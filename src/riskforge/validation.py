@@ -7,7 +7,10 @@ separate "the model is well-formed" from "the model is complete enough to
 analyze"; models are usually authored incrementally, so missing ratings
 are only errors at the second level. The rank checks (range, band, severity
 class) are ``rating.own_ratings``'s findings, filed here under each failure
-mode; the rating table reads its ratings from the same function.
+mode. The ratings that call returns go on to the rating table of the same
+validation call, so the table does not read them again; a call that skips
+the structural checks (the CLI, whose parse already ran them) lets the
+table read them itself. Paths are built only for findings that are filed.
 """
 
 from __future__ import annotations
@@ -107,27 +110,34 @@ def validate_model(model: DesignModel, strictness: str = STRUCTURAL) -> Validati
     """
     if strictness not in (STRUCTURAL, ANALYSIS_READY):
         raise ValueError(f"strictness must be {STRUCTURAL!r} or {ANALYSIS_READY!r}")
-    return _complete(model, _structural_errors(model), strictness)[0]
+    ratings: list | None = [] if strictness == ANALYSIS_READY else None
+    return _complete(model, _structural_errors(model, ratings), strictness, ratings)[0]
 
 
-def _structural_errors(model: DesignModel) -> list[Finding]:
-    """Identity, cross-reference and rank errors; a parsed model has none."""
+def _structural_errors(model: DesignModel, ratings: list | None = None) -> list[Finding]:
+    """Identity, cross-reference and rank errors; a parsed model has none.
+
+    With a list in ``ratings``, each failure mode's own (S, O, D), which the
+    rank checks read, is appended to it in model order, for ``_complete``."""
     findings: list[Finding] = []
     _check_duplicate_ids(model, findings)
     _check_edges(model, findings)
-    _check_failure_modes(model, findings)
+    _check_failure_modes(model, findings, ratings)
     return findings
 
 
 def _complete(
-    model: DesignModel, findings: list[Finding], strictness: str
+    model: DesignModel, findings: list[Finding], strictness: str, ratings: list | None = None
 ) -> tuple[ValidationReport, _analysis.RatingTable | None]:
     """Add warnings, and at the analysis-ready level the rating checks, to the structural
-    ``findings``; return the sorted report and the rating table read (None if structural)."""
+    ``findings``; return the sorted report and the rating table read (None if structural).
+
+    ``ratings`` are the own ratings ``_structural_errors`` read for the same
+    model, if it was run on it in this call; without them the table reads its own."""
     _check_warnings(model, findings)
     table = None
     if strictness == ANALYSIS_READY:
-        table = _analysis.rating_table(model)
+        table = _analysis._rating_table(model, ratings)
         _check_analysis_ready(model, table, findings)
 
     findings.sort(key=lambda f: (_path_sort_key(f.path), f.code, f.message))
@@ -167,51 +177,47 @@ def _check_duplicate_ids(model: DesignModel, findings: list[Finding]) -> None:
 
 
 def _check_edges(model: DesignModel, findings: list[Finding]) -> None:
+    elements = model.elements_by_id
     specs = (
         ("rf", model.rf, Domain.REQUIREMENT, Domain.FUNCTION),
         ("fc", model.fc, Domain.FUNCTION, Domain.COMPONENT),
     )
     for key, edges, want_source, want_target in specs:
-        seen: set[tuple[str, str]] = set()
+        # The targets met so far per source; a dict of str keys and None
+        # values is never tracked by the collector.
+        targets_of: dict[str, dict[str, None]] = {}
         for index, edge in enumerate(edges):
-            endpoints = ((0, edge.source, want_source), (1, edge.target, want_target))
-            direction_ok = True
-            for position, endpoint, want in endpoints:
-                entry = model.elements_by_id.get(endpoint)
-                if entry is None:
-                    direction_ok = False
-                    _error(
-                        findings,
-                        "DanglingReference",
-                        f'edge references "{endpoint}", which is not a design element',
-                        (key, index, position),
-                    )
-                elif entry[0] is not want:
-                    direction_ok = False
-            if direction_ok is False and all(
-                model.elements_by_id.get(e) is not None for _, e, _ in endpoints
-            ):
+            source, target = edge.source, edge.target
+            source_entry = elements.get(source)
+            target_entry = elements.get(target)
+            if source_entry is None:
+                _dangling_edge(findings, source, (key, index, 0))
+            if target_entry is None:
+                _dangling_edge(findings, target, (key, index, 1))
+            elif source_entry is not None and not (source_entry[0] is want_source and target_entry[0] is want_target):
                 _error(
                     findings,
                     "EdgeDirection",
                     f"{key} edges run {want_source.value} to {want_target.value};"
-                    f' got "{edge.source}" to "{edge.target}"',
+                    f' got "{source}" to "{target}"',
                     (key, index),
                 )
-            pair = (edge.source, edge.target)
-            if pair in seen:
-                _error(
-                    findings,
-                    "DuplicateEdge",
-                    f'duplicate {key} edge "{edge.source}" to "{edge.target}"',
-                    (key, index),
-                )
-            seen.add(pair)
+            targets = targets_of.get(source)
+            if targets is None:
+                targets_of[source] = {target: None}
+            elif target in targets:
+                _error(findings, "DuplicateEdge", f'duplicate {key} edge "{source}" to "{target}"', (key, index))
+            else:
+                targets[target] = None
 
 
-def _check_failure_modes(model: DesignModel, findings: list[Finding]) -> None:
+def _dangling_edge(findings: list[Finding], endpoint: str, path: Path) -> None:
+    _error(findings, "DanglingReference", f'edge references "{endpoint}", which is not a design element', path)
+
+
+def _check_failure_modes(model: DesignModel, findings: list[Finding], ratings: list | None) -> None:
+    problems: list[Problem] = []
     for index, fm in enumerate(model.failure_modes):
-        base: Path = ("failure_modes", index)
         domain = _fm_domain(model, fm)
         if domain is None:
             _error(
@@ -219,7 +225,7 @@ def _check_failure_modes(model: DesignModel, findings: list[Finding]) -> None:
                 "DanglingReference",
                 f'failure mode "{fm.id}" references "{fm.element}",'
                 " which is not a design element",
-                base + ("element",),
+                ("failure_modes", index, "element"),
             )
 
         if fm.category not in ALL_CATEGORY_NAMES:
@@ -227,7 +233,7 @@ def _check_failure_modes(model: DesignModel, findings: list[Finding]) -> None:
                 findings,
                 "UnknownCategory",
                 f'"{fm.category}" is not a failure-mode category',
-                base + ("category",),
+                ("failure_modes", index, "category"),
             )
         elif domain is not None and fm.category not in allowed_categories(domain):
             _error(
@@ -235,13 +241,16 @@ def _check_failure_modes(model: DesignModel, findings: list[Finding]) -> None:
                 "CategoryDomainMismatch",
                 f'category "{fm.category}" is not valid for {domain.value}'
                 f' elements (failure mode "{fm.id}")',
-                base + ("category",),
+                ("failure_modes", index, "category"),
             )
 
-        problems: list[Problem] = []
-        own_ratings(domain, fm, problems)
-        for subpath, code, message in problems:
-            _error(findings, code, message, base + subpath)
+        own = own_ratings(domain, fm, problems)
+        if ratings is not None:
+            ratings.append(own)
+        if problems:
+            for subpath, code, message in problems:
+                _error(findings, code, message, ("failure_modes", index) + subpath)
+            problems.clear()
 
 
 def _check_warnings(model: DesignModel, findings: list[Finding]) -> None:
@@ -301,7 +310,6 @@ def _check_analysis_ready(model: DesignModel, table: _analysis.RatingTable, find
     # Tolerant propagation: unrated failure modes simply contribute
     # nothing, so coverage holes show up as absent map entries.
     for index, (fm, (severity, occurrence, _)) in enumerate(zip(model.failure_modes, table.ratings)):
-        base: Path = ("failure_modes", index)
         domain = _fm_domain(model, fm)
         if domain is None:
             continue
@@ -312,7 +320,7 @@ def _check_analysis_ready(model: DesignModel, table: _analysis.RatingTable, find
                 "MissingSeverityRating",
                 f'{domain.value} failure mode "{fm.id}" has no effect with a'
                 " severity rank or severity class",
-                base + ("effects",),
+                ("failure_modes", index, "effects"),
             )
         elif severity is None and fm.element not in table.severity:
             _error(
@@ -320,7 +328,7 @@ def _check_analysis_ready(model: DesignModel, table: _analysis.RatingTable, find
                 "NoSeveritySource",
                 f'failure mode "{fm.id}" has no rated effect and element'
                 f' "{fm.element}" receives no severity through the mappings',
-                base,
+                ("failure_modes", index),
             )
 
         if domain is Domain.COMPONENT:
@@ -330,7 +338,7 @@ def _check_analysis_ready(model: DesignModel, table: _analysis.RatingTable, find
                     "MissingOccurrenceRating",
                     f'component failure mode "{fm.id}" has no cause with an'
                     " occurrence rank or frequency",
-                    base + ("causes",),
+                    ("failure_modes", index, "causes"),
                 )
             if fm.control is None:
                 _error(
@@ -338,7 +346,7 @@ def _check_analysis_ready(model: DesignModel, table: _analysis.RatingTable, find
                     "MissingControlPlan",
                     f'component failure mode "{fm.id}" has no control plan,'
                     " so no detection rank can be assigned",
-                    base,
+                    ("failure_modes", index),
                 )
         else:
             if fm.element not in table.occurrence:
@@ -347,7 +355,7 @@ def _check_analysis_ready(model: DesignModel, table: _analysis.RatingTable, find
                     "NoOccurrenceSource",
                     f'failure mode "{fm.id}": element "{fm.element}" maps to no'
                     " component with occurrence-rated failure modes",
-                    base,
+                    ("failure_modes", index),
                 )
             if fm.control is None and fm.element not in table.detection:
                 _error(
@@ -355,5 +363,5 @@ def _check_analysis_ready(model: DesignModel, table: _analysis.RatingTable, find
                     "NoDetectionSource",
                     f'failure mode "{fm.id}" has no control plan and element'
                     f' "{fm.element}" maps to no component with a detection rank',
-                    base,
+                    ("failure_modes", index),
                 )

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import camera_cut_off_from_its_requirement, child_env, make_camera_model, make_smartphone_model
-from riskforge import __version__, analysis, serialize_model, validation
+from riskforge import __version__, analysis, parse_model, run_procedure, serialize_model, validation
 from riskforge.cli import _parser, main
 
 CAMERA_JSON = Path(__file__).resolve().parent.parent / "sample_models" / "camera.json"
@@ -337,10 +337,22 @@ class TestOnePassPerStage:
         (validation, "_check_failure_modes"),
         (validation, "_check_warnings"),
         (validation, "_check_analysis_ready"),
-        (analysis, "rating_table"),
+        (analysis, "_rating_table"),
     )
     # The rank rules, bound by name in both modules that call them; counted together.
     RANK_RULES = ((validation, "own_ratings"), (analysis, "own_ratings"))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        for module, name in self.COUNTED + self.RANK_RULES:
+
+            def counted(*args, _call=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _call(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
 
     @pytest.mark.parametrize(
         "argv, models, rated",
@@ -352,23 +364,25 @@ class TestOnePassPerStage:
         ],
         ids=["analyze", "validate", "diff", "validate-structural"],
     )
-    def test_each_check_and_the_rating_table_run_once_per_model(self, argv, models, rated, camera_path, monkeypatch):
-        calls = Counter()
-        for module, name in self.COUNTED + self.RANK_RULES:
-
-            def counted(*args, _call=getattr(module, name), _name=name):
-                calls[_name] += 1
-                return _call(*args)
-
-            monkeypatch.setattr(module, name, counted)
+    def test_each_check_and_the_rating_table_run_once_per_model(self, argv, models, rated, camera_path, calls):
         assert main([camera_path if arg == "MODEL" else arg for arg in argv]) == 0
         expected = {name: models for _, name in self.COUNTED}
         if not rated:
-            expected.update(_check_analysis_ready=0, rating_table=0)
+            expected.update(_check_analysis_ready=0, _rating_table=0)
         # Once per failure mode in parse's structural stage, and once more in the rating table.
         failure_modes = len(make_camera_model().failure_modes)
         own_ratings = failure_modes * models * (2 if rated else 1)
         assert calls == Counter(expected, own_ratings=own_ratings)
+
+    def test_the_library_run_rates_each_failure_mode_once_after_the_parse(self, camera_path, calls):
+        model = parse_model(Path(camera_path).read_text(encoding="utf-8"))
+        run_procedure(model)
+        # The parse's structural stage and the run's: the run's rating table
+        # takes the ratings its own structural checks read.
+        failure_modes = len(model.failure_modes)
+        expected = {name: 2 for _, name in self.COUNTED}
+        expected.update(_check_analysis_ready=1, _rating_table=1, _check_warnings=1)
+        assert calls == Counter(expected, own_ratings=2 * failure_modes)
 
 
 class TestDiagnostics:

@@ -3,6 +3,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskforge import (
     Cause,
@@ -226,6 +228,36 @@ class TestAdjacency:
         model = dataclasses.replace(camera_model, rf=edges)
         assert model.rf_sources == {"x": ("a", "b", "c")}
         assert model.rf_targets == {"a": ("x",), "b": ("x",), "c": ("x",)}
+
+    @given(
+        rf=st.lists(st.tuples(st.sampled_from("abcxy"), st.sampled_from("abcxy")), max_size=12),
+        fc=st.lists(st.tuples(st.sampled_from("abcxy"), st.sampled_from("abcxy")), max_size=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_groupings_match_a_brute_force_grouping(self, rf, fc):
+        # Ids need not name elements here: self-edges, repeats and either direction all group the same way.
+        model = DesignModel(
+            Meta("p", "1"), rf=tuple(MappingEdge(s, t) for s, t in rf), fc=tuple(MappingEdge(s, t) for s, t in fc)
+        )
+
+        def grouped(pairs):
+            out = []
+            for key, _ in pairs:
+                if key not in [done for done, _ in out]:
+                    values = []
+                    for other, value in pairs:
+                        if other == key and value not in values:
+                            values.append(value)
+                    out.append((key, tuple(values)))
+            return out
+
+        def flipped(pairs):
+            return [(t, s) for s, t in pairs]
+
+        assert list(model.rf_sources.items()) == grouped(flipped(rf))
+        assert list(model.rf_targets.items()) == grouped(rf)
+        assert list(model.fc_sources.items()) == grouped(flipped(fc))
+        assert list(model.fc_targets.items()) == grouped(fc)
 
     def test_failure_modes_of(self, camera_model):
         assert [fm.id for fm in camera_model.failure_modes_of("c_cam")] == ["fm_damage"]

@@ -400,8 +400,9 @@ def test_a_record_inside_itself_shows_as_the_generated_repr_shows_it():
     assert shown == ["Finding(severity='error', code='Code', message='message', path=[...])"] * 2
 
 
-def _run(code):
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=60)
+def _run(code, *flags):
+    command = [sys.executable, *flags, "-c", code]
+    done = subprocess.run(command, capture_output=True, text=True, env=child_env(), timeout=60)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -441,3 +442,8 @@ class TestStartUp:
         modules = ("dataclasses", "inspect", "ast", "dis")
         out = _run(f"import sys\n{code}\nprint(sorted(set({modules!r}) & set(sys.modules)))")
         assert out.splitlines()[-1] == "[]"
+
+    def test_typing_is_not_loaded_without_site(self):
+        # Without -S, ``site`` may load ``typing`` itself (through a ``.pth`` file), which would hide an import of it.
+        out = _run("import sys, riskforge.cli; print(sorted({'typing', 'dataclasses'} & set(sys.modules)))", "-S")
+        assert out == "[]\n"

@@ -2,12 +2,14 @@
 
 import dataclasses
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import FREQUENCY_POOL, random_model
+from helpers import FREQUENCY_POOL, make_camera_model, random_model
 from riskforge import (
     ANALYSIS_READY,
     Cause,
@@ -23,8 +25,10 @@ from riskforge import (
     Requirement,
     STRUCTURAL,
     ValidationFailed,
+    analyze,
     detection_band,
     occurrence_band,
+    parse_model,
     run_procedure,
     severity_band,
     validate_model,
@@ -32,6 +36,11 @@ from riskforge import (
 from riskforge.analysis import rating_table
 from riskforge.model import _FieldError
 from riskforge.rating import ALL_SEVERITY_CLASS_NAMES, SEVERITY_CLASSES
+from riskforge.validation import _check_edges, _complete, _structural_errors
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+
+import gen  # noqa: E402
 
 
 def codes(report, severity=None):
@@ -514,3 +523,154 @@ class TestReportShape:
         text = str(report.errors[0])
         assert text.startswith("error: failure_modes[2].category:")
         assert "[CategoryDomainMismatch]" in text
+
+
+#: Element ids for the edge property: one requirement, two functions, one component, and an id that names nothing.
+EDGE_ENDS = ("r1", "f1", "f2", "c1", "zz")
+EDGE_KINDS = {"r1": "requirement", "f1": "function", "f2": "function", "c1": "component"}
+
+
+def _edge_findings_by_brute_force(key, pairs, want):
+    """What ``_check_edges`` files for one edge list, from the rules as the README states them."""
+    found = []
+    for index, (source, target) in enumerate(pairs):
+        for position, end in enumerate((source, target)):
+            if end not in EDGE_KINDS:
+                message = f'edge references "{end}", which is not a design element'
+                found.append(("DanglingReference", (key, index, position), message))
+        if source in EDGE_KINDS and target in EDGE_KINDS and (EDGE_KINDS[source], EDGE_KINDS[target]) != want:
+            message = f'{key} edges run {want[0]} to {want[1]}; got "{source}" to "{target}"'
+            found.append(("EdgeDirection", (key, index), message))
+        if (source, target) in pairs[:index]:
+            found.append(("DuplicateEdge", (key, index), f'duplicate {key} edge "{source}" to "{target}"'))
+    return found
+
+
+class TestEdgeChecksProperty:
+    @given(
+        rf=st.lists(st.tuples(st.sampled_from(EDGE_ENDS), st.sampled_from(EDGE_ENDS)), max_size=10),
+        fc=st.lists(st.tuples(st.sampled_from(EDGE_ENDS), st.sampled_from(EDGE_ENDS)), max_size=10),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_findings_match_a_brute_force_check_in_filing_order(self, rf, fc):
+        # Dangling ends, wrong directions, self-edges and repeats all come out of five ids.
+        model = small_model(
+            functions=(Function("f1", "do", "thing"), Function("f2", "do", "other")),
+            rf=tuple(MappingEdge(s, t) for s, t in rf),
+            fc=tuple(MappingEdge(s, t) for s, t in fc),
+        )
+        findings = []
+        _check_edges(model, findings)
+        expected = _edge_findings_by_brute_force("rf", rf, ("requirement", "function"))
+        expected += _edge_findings_by_brute_force("fc", fc, ("function", "component"))
+        assert [(f.code, f.path, f.message) for f in findings] == expected
+        assert {f.severity for f in findings} <= {"error"}
+
+
+def _change_a_failure_mode(model, rng, pick, change):
+    """``model`` with the fields ``change(fm)`` gives replaced on a random failure mode for which ``pick`` holds."""
+    indexes = [i for i, fm in enumerate(model.failure_modes) if pick(fm)]
+    if not indexes:
+        return model
+    i = rng.choice(indexes)
+    fm = dataclasses.replace(model.failure_modes[i], **change(model.failure_modes[i]))
+    return dataclasses.replace(model, failure_modes=model.failure_modes[:i] + (fm,) + model.failure_modes[i + 1 :])
+
+
+def _drop_a_control_plan(model, rng):
+    return _change_a_failure_mode(model, rng, lambda fm: fm.control is not None, lambda fm: {"control": None})
+
+
+def _drop_the_effects(model, rng):
+    return _change_a_failure_mode(model, rng, lambda fm: fm.effects, lambda fm: {"effects": ()})
+
+
+def _with_a_rank(model, rng, rank):
+    """``model`` with ``rank`` on a random failure mode's control plan, or on its first effect or cause."""
+    items = rng.choice(["effects", "causes", "control"])
+    if items == "control":
+        return _change_a_failure_mode(
+            model,
+            rng,
+            lambda fm: fm.control is not None,
+            lambda fm: {"control": dataclasses.replace(fm.control, detection_rank=rank)},
+        )
+    field = "severity_rank" if items == "effects" else "occurrence_rank"
+
+    def change(fm):
+        first, *rest = getattr(fm, items)
+        return {items: (dataclasses.replace(first, **{field: rank}), *rest)}
+
+    return _change_a_failure_mode(model, rng, lambda fm: getattr(fm, items), change)
+
+
+def _rank_out_of_range_or_band(model, rng):
+    return _with_a_rank(model, rng, rng.choice([0, 11, -2, rng.randint(1, 10)]))
+
+
+def _rank_cleared(model, rng):
+    # Valid where a class, frequency or method class gives a band; a missing rating where nothing does.
+    return _with_a_rank(model, rng, None)
+
+
+def _dangling_element(model, rng):
+    key = rng.choice(["rf", "fc", "failure_modes"])
+    if key == "failure_modes":
+        return _change_a_failure_mode(model, rng, lambda fm: True, lambda fm: {"element": "nowhere"})
+    edges = getattr(model, key)
+    i = rng.randrange(len(edges))
+    end = rng.choice(["source", "target"])
+    edge = dataclasses.replace(edges[i], **{end: "nowhere"})
+    return dataclasses.replace(model, **{key: edges[:i] + (edge,) + edges[i + 1 :]})
+
+
+def _repeated_edge(model, rng):
+    key = rng.choice(["rf", "fc"])
+    edges = getattr(model, key)
+    at = rng.randrange(len(edges) + 1)
+    edges = edges[:at] + (rng.choice(edges),) + edges[at:]
+    return dataclasses.replace(model, **{key: edges})
+
+
+MODEL_MUTATIONS = (
+    _drop_a_control_plan,
+    _drop_the_effects,
+    _rank_out_of_range_or_band,
+    _rank_cleared,
+    _dangling_element,
+    _repeated_edge,
+)
+
+
+def _ranked(rows):
+    return [(r.element_id, r.fm_id, r.severity, r.occurrence, r.detection, r.rpn, r.rank_position) for r in rows]
+
+
+class TestRatingsHandedOn:
+    """``run_procedure`` and ``validate_model`` rate each failure mode once, in the structural
+    checks, and give those ratings to the rating table. The outcome must be the one the
+    table gives when it reads the ratings itself."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.sampled_from([0, 5, 20, 40]),
+        mutations=st.lists(st.sampled_from(MODEL_MUTATIONS), max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_run_procedure_matches_validation_and_analysis(self, seed, size, mutations):
+        rng = random.Random(seed)
+        model = make_camera_model() if size == 0 else parse_model(gen.canonical(gen.bulk_model(seed, n=size)[0]))
+        for mutate in mutations:
+            model = mutate(model, rng)
+        report = validate_model(model, ANALYSIS_READY)
+        assert report == _complete(model, _structural_errors(model), ANALYSIS_READY)[0]
+        try:
+            bundle = run_procedure(model)
+        except ValidationFailed as exc:
+            assert report.has_errors
+            assert exc.report == report
+        else:
+            assert not report.has_errors
+            assert bundle.validation == report
+            worksheets = bundle.requirement_fmea.rows + bundle.function_fmea.rows + bundle.component_fmea.rows
+            assert _ranked(sorted(worksheets, key=lambda row: row.rank_position)) == _ranked(analyze(model).rows)
