@@ -21,7 +21,9 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import _prioritize, trace
-from .io import ParseFailure, parse_model
+# The CLI's parse also hands on the own ratings its structural checks read, so that
+# ``_complete`` reads none again; it keeps the name the bench times it by.
+from .io import ParseFailure, _parse_rated as parse_model
 from .model import Domain, Frequency, UnknownFailureMode
 from .rating import detection_band, occurrence_band, severity_band
 from .reports import FORMATS, ValidationFailed, _run_procedure, emit_artifact, write_bundle
@@ -57,7 +59,8 @@ def _print_findings(findings: tuple[Finding, ...]) -> None:
 
 
 def _load_model(path: str):
-    """The parsed model, which has no structural errors, or None after a diagnostic."""
+    """The parsed model, which has no structural errors, and its failure modes' own ratings
+    (see ``io._parse_rated``); or None after a diagnostic."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -72,11 +75,12 @@ def _load_model(path: str):
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    model = _load_model(args.model)
-    if model is None:
+    loaded = _load_model(args.model)
+    if loaded is None:
         return EXIT_USAGE
+    model, ratings = loaded
     strictness = ANALYSIS_READY if args.analysis_ready else STRUCTURAL
-    report, _ = _complete(model, [], strictness)
+    report, _ = _complete(model, [], strictness, ratings)
     _print_findings(report.findings)
     print(f"validation: {len(report.errors)} error(s), {len(report.warnings)} warning(s)")
     if report.has_errors:
@@ -87,11 +91,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    model = _load_model(args.model)
-    if model is None:
+    loaded = _load_model(args.model)
+    if loaded is None:
         return EXIT_USAGE
+    model, ratings = loaded
     try:
-        bundle = _run_procedure(model, [], not args.no_detection_propagation)
+        bundle = _run_procedure(model, [], not args.no_detection_propagation, ratings)
     except ValidationFailed as exc:
         _print_findings(exc.report.findings)
         return EXIT_FINDINGS
@@ -121,11 +126,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    model = _load_model(args.model)
-    if model is None:
+    loaded = _load_model(args.model)
+    if loaded is None:
         return EXIT_USAGE
     try:
-        chain = trace(model, args.fm, args.direction)
+        chain = trace(loaded[0], args.fm, args.direction)
     except UnknownFailureMode as exc:
         _diag("error", str(exc))
         return EXIT_FINDINGS
@@ -161,10 +166,11 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 def _cmd_diff(args: argparse.Namespace) -> int:
     results = []
     for path in (args.old, args.new):
-        model = _load_model(path)
-        if model is None:
+        loaded = _load_model(path)
+        if loaded is None:
             return EXIT_USAGE
-        report, table = _complete(model, [], ANALYSIS_READY)
+        model, ratings = loaded
+        report, table = _complete(model, [], ANALYSIS_READY, ratings)
         if report.has_errors:
             _diag("error", f"{path} is not analysis-ready")
             _print_findings(report.findings)

@@ -123,20 +123,32 @@ def parse_model(text: str) -> DesignModel:
     return _model_from(text, *_decode(text))
 
 
-def _model_from(text: str, data: object, errors: list[_Located], repeats: int = 0) -> DesignModel:
+def _parse_rated(text: str) -> tuple[DesignModel, list]:
+    """``parse_model``'s model, and the own (S, O, D) of each of its failure modes in model
+    order, as its structural checks read them: what ``validation._complete`` takes so that
+    it does not read them again."""
+    ratings: list = []
+    return _model_from(text, *_decode(text), ratings=ratings), ratings
+
+
+def _model_from(
+    text: str, data: object, errors: list[_Located], repeats: int = 0, ratings: list | None = None
+) -> DesignModel:
     """Walk the decoded ``data`` once; locate every problem in ``text`` only if there is one.
 
     ``repeats`` is the number of repeated keys the decoder met. A repeat
     the walk does not meet lies in a value it never enters; only the
-    positional reader reports that one.
+    positional reader reports that one. The structural checks append each
+    failure mode's own ratings to ``ratings``, if given.
     """
     walker = _Walker()
     model = _walk_model(walker, data)
     if len(walker.repeats) != repeats:
-        return _model_from(text, *_read(text))
+        return _model_from(text, *_read(text), ratings=ratings)
     problems = walker.problems
     if model is not None and not errors and not repeats:
-        problems = [(finding.path, None, finding.code, finding.message) for finding in _structural_errors(model)]
+        structural = _structural_errors(model, ratings)
+        problems = [(finding.path, None, finding.code, finding.message) for finding in structural]
         if not problems:
             return model
     locator = _Locator(text)
@@ -649,7 +661,7 @@ class _Walker:
             return None
 
 
-def _walk_list(w: _Walker, values: object, path: Path, walk_item, sound=None) -> list:
+def _walk_list(w: _Walker, values: object, path: Path, walk_item, sound=None) -> tuple:
     """Each item of the array ``values``, built by ``sound`` if sound, else by ``walk_item``.
 
     Each decoded item is dropped from the array once taken, so that it is
@@ -658,7 +670,7 @@ def _walk_list(w: _Walker, values: object, path: Path, walk_item, sound=None) ->
     """
     values = w.array(values, path)
     if values is None:
-        return []
+        return ()
     items = []
     for index, value in enumerate(values):
         values[index] = None
@@ -666,12 +678,12 @@ def _walk_list(w: _Walker, values: object, path: Path, walk_item, sound=None) ->
             try:
                 items.append(sound(value))
                 continue
-            except (_Miss, KeyError, _FieldError):
+            except (_Miss, KeyError, TypeError, _FieldError):
                 pass
         item = walk_item(w, value, path + (index,))
         if item is not None:
             items.append(item)
-    return items
+    return tuple(items)
 
 
 def _walk_pair(w: _Walker, value: object, path: Path, cls, what: str):
@@ -791,8 +803,10 @@ def _walk_model(w: _Walker, data: object) -> DesignModel | None:
 # A reference (an edge endpoint, a failure mode's element) is given the
 # object of the element id it names, from a table that one walk builds, and
 # a closed-vocabulary value the module's constant, so that a model holds one
-# string per distinct id or token, not one per occurrence. The constructor
-# still checks every value.
+# string per distinct id or token, not one per occurrence: ``table.get(value,
+# value)``, which raises TypeError for a decoded array or object, so that the
+# reporting walk reads that item again. The constructor still checks every
+# value.
 
 #: Each closed-vocabulary token, mapped to the constant the rules hold.
 _VOCABULARY = {
@@ -800,11 +814,6 @@ _VOCABULARY = {
     for names in (ALL_CATEGORY_NAMES, ALL_SEVERITY_CLASS_NAMES, CONTROL_METHOD_CLASSES, FLOW_KINDS)
     for name in names
 }
-
-
-def _shared(table: dict[str, str], value: object) -> object:
-    """``table``'s own object for a str it holds, else ``value``; a decoded list or dict is unhashable."""
-    return table.get(value, value) if type(value) is str else value
 
 
 class _Miss(Exception):
@@ -826,7 +835,8 @@ def _sound_pair(cls, pair: object):
 def _sound_edge(ids: dict[str, str], pair: object) -> MappingEdge:
     if type(pair) is not list or len(pair) != 2:
         raise _Miss
-    return MappingEdge(_shared(ids, pair[0]), _shared(ids, pair[1]))
+    source, target = pair
+    return MappingEdge(ids.get(source, source), ids.get(target, target))
 
 
 def _sound_requirement(value: object) -> Requirement:
@@ -838,7 +848,8 @@ def _sound_requirement(value: object) -> Requirement:
 def _sound_flow(value: object) -> Flow:
     if type(value) is not dict or not _FLOW.allowed.issuperset(value):
         raise _Miss
-    return Flow(value["description"], _shared(_VOCABULARY, value["kind"]))
+    kind = value["kind"]
+    return Flow(value["description"], _VOCABULARY.get(kind, kind))
 
 
 def _sound_function(value: object) -> Function:
@@ -862,7 +873,8 @@ def _sound_effect(value: object) -> Effect:
         raise _Miss
     if type(value.get("severity_class", "")) is not str or type(value.get("severity_rank", 0)) is not int:
         raise _Miss
-    return Effect(value["text"], _shared(_VOCABULARY, value.get("severity_class")), value.get("severity_rank"))
+    severity_class = value.get("severity_class")
+    return Effect(value["text"], _VOCABULARY.get(severity_class, severity_class), value.get("severity_rank"))
 
 
 def _sound_cause(value: object) -> Cause:
@@ -879,7 +891,8 @@ def _sound_control(value: object) -> ControlPlan:
         raise _Miss
     if type(value.get("method_text", "")) is not str or type(value.get("detection_rank", 0)) is not int:
         raise _Miss
-    method_class = _shared(_VOCABULARY, value["method_class"])
+    method_class = value["method_class"]
+    method_class = _VOCABULARY.get(method_class, method_class)
     return ControlPlan(method_class, value.get("method_text"), value.get("detection_rank"))
 
 
@@ -889,7 +902,8 @@ def _sound_failure_mode(ids: dict[str, str], value: object) -> FailureMode:
     effects = _sound_all(_sound_effect, value["effects"]) if "effects" in value else ()
     causes = _sound_all(_sound_cause, value["causes"]) if "causes" in value else ()
     control = _sound_control(value["control"]) if "control" in value else None
-    element, category = _shared(ids, value["element"]), _shared(_VOCABULARY, value["category"])
+    element, category = value["element"], value["category"]
+    element, category = ids.get(element, element), _VOCABULARY.get(category, category)
     return FailureMode(value["id"], element, category, value["description"], causes, effects, control)
 
 

@@ -10,6 +10,10 @@ Each constructor holds the only copy of its fields' value rules (id
 charset, non-blank prose, closed vocabularies, positive frequencies, the
 record class of each record it holds, integers Python can write) and
 reports every bad field at once; the parser builds records through them.
+A constructor first runs one accept test, a chain of C-level tests that
+together imply every rule; it rejects nothing. Only arguments that fail it
+run the per-field helpers, which are the only code that rejects a value
+and words the problem.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
 from operator import attrgetter
 from reprlib import recursive_repr
 
@@ -239,6 +244,26 @@ def _record(field: str, value: object, cls: type) -> tuple | None:
     return None if isinstance(value, cls) else (field, "Type", f"expected a {cls.__name__}")
 
 
+# Each constructor first runs one accept test: a chain of tests, each made in
+# C, that together imply every rule of its fields. Only arguments that fail it
+# reach the helpers above, which alone reject a value and word the problem, so
+# a sound record costs no Python call. The chain never rejects: a sound value
+# it does not take (a str or int subclass, a bool rank, an integer of
+# ``_WRITABLE_BITS`` bits or more, a list where a tuple goes, a subclass record
+# first in a tuple, text that is neither ASCII nor printable) is accepted by
+# the helpers. An ASCII identifier is an id without a regex match; any other
+# str is matched against ``ELEMENT_ID_RE``. A str that is ASCII or printable
+# holds no surrogate, so it has a UTF-8 form. A held tuple tests its first
+# record's exact class and maps ``isinstance`` over a longer one only: for one
+# record, the map costs more than the helper.
+
+#: An int ``v`` with ``-_WRITABLE < v < _WRITABLE`` has fewer than ``_WRITABLE_BITS`` bits.
+_WRITABLE = 1 << (_WRITABLE_BITS - 1)
+_is_id = ELEMENT_ID_RE.match
+_FLOW_KINDS = frozenset(FLOW_KINDS)
+_CONTROL_METHOD_CLASSES = frozenset(CONTROL_METHOD_CLASSES)
+
+
 class _DataclassView:
     """A record class's ``__dataclass_fields__`` or ``__dataclass_params__``.
 
@@ -354,7 +379,13 @@ class Meta(_Record):
     version: str
 
     def __init__(self, product: str, version: str) -> None:
-        _check(self, _utf8("product", product), _utf8("version", version))
+        if not (
+            type(product) is str
+            and (product.isascii() or product.isprintable())
+            and type(version) is str
+            and (version.isascii() or version.isprintable())
+        ):
+            _check(self, _utf8("product", product), _utf8("version", version))
         set_product, set_version = _META_SLOTS
         set_product(self, product)
         set_version(self, version)
@@ -371,7 +402,14 @@ class Requirement(_Record):
     text: str
 
     def __init__(self, id: str, text: str) -> None:
-        _check(self, _id("id", id), _text("text", text))
+        if not (
+            type(id) is str
+            and (id.isascii() and id.isidentifier() or _is_id(id))
+            and type(text) is str
+            and text.strip()
+            and (text.isascii() or text.isprintable())
+        ):
+            _check(self, _id("id", id), _text("text", text))
         set_id, set_text = _REQUIREMENT_SLOTS
         set_id(self, id)
         set_text(self, text)
@@ -388,7 +426,13 @@ class Flow(_Record):
     kind: str
 
     def __init__(self, description: str, kind: str) -> None:
-        _check(self, _utf8("description", description), _choice("kind", kind, FLOW_KINDS, "flow kind"))
+        if not (
+            type(description) is str
+            and (description.isascii() or description.isprintable())
+            and type(kind) is str
+            and kind in _FLOW_KINDS
+        ):
+            _check(self, _utf8("description", description), _choice("kind", kind, FLOW_KINDS, "flow kind"))
         set_description, set_kind = _FLOW_SLOTS
         set_description(self, description)
         set_kind(self, kind)
@@ -410,9 +454,31 @@ class Function(_Record):
     def __init__(
         self, id: str, verb: str, noun: str, inputs: tuple[Flow, ...] = (), outputs: tuple[Flow, ...] = ()
     ) -> None:
-        inputs, bad_inputs = _held("inputs", inputs, Flow)
-        outputs, bad_outputs = _held("outputs", outputs, Flow)
-        _check(self, _id("id", id), _text("verb", verb), _text("noun", noun), bad_inputs, bad_outputs)
+        if not (
+            type(id) is str
+            and (id.isascii() and id.isidentifier() or _is_id(id))
+            and type(verb) is str
+            and verb.strip()
+            and (verb.isascii() or verb.isprintable())
+            and type(noun) is str
+            and noun.strip()
+            and (noun.isascii() or noun.isprintable())
+            and type(inputs) is tuple
+            and (
+                not inputs
+                or type(inputs[0]) is Flow
+                and (len(inputs) == 1 or all(map(isinstance, inputs, repeat(Flow))))
+            )
+            and type(outputs) is tuple
+            and (
+                not outputs
+                or type(outputs[0]) is Flow
+                and (len(outputs) == 1 or all(map(isinstance, outputs, repeat(Flow))))
+            )
+        ):
+            inputs, bad_inputs = _held("inputs", inputs, Flow)
+            outputs, bad_outputs = _held("outputs", outputs, Flow)
+            _check(self, _id("id", id), _text("verb", verb), _text("noun", noun), bad_inputs, bad_outputs)
         set_id, set_verb, set_noun, set_inputs, set_outputs = _FUNCTION_SLOTS
         set_id(self, id)
         set_verb(self, verb)
@@ -437,7 +503,15 @@ class Component(_Record):
     concept: str | None
 
     def __init__(self, id: str, name: str, concept: str | None = None) -> None:
-        _check(self, _id("id", id), _text("name", name), _optional_utf8("concept", concept))
+        if not (
+            type(id) is str
+            and (id.isascii() and id.isidentifier() or _is_id(id))
+            and type(name) is str
+            and name.strip()
+            and (name.isascii() or name.isprintable())
+            and (concept is None or type(concept) is str and (concept.isascii() or concept.isprintable()))
+        ):
+            _check(self, _id("id", id), _text("name", name), _optional_utf8("concept", concept))
         set_id, set_name, set_concept = _COMPONENT_SLOTS
         set_id(self, id)
         set_name(self, name)
@@ -455,7 +529,13 @@ class MappingEdge(_Record):
     target: str
 
     def __init__(self, source: str, target: str) -> None:
-        _check(self, _id(0, source), _id(1, target))
+        if not (
+            type(source) is str
+            and type(target) is str
+            and (source.isascii() and source.isidentifier() or _is_id(source))
+            and (target.isascii() and target.isidentifier() or _is_id(target))
+        ):
+            _check(self, _id(0, source), _id(1, target))
         set_source, set_target = _MAPPING_EDGE_SLOTS
         set_source(self, source)
         set_target(self, target)
@@ -477,9 +557,15 @@ class Frequency(_Record):
     denominator: int
 
     def __init__(self, numerator: int, denominator: int) -> None:
-        _check(self, _integer(0, numerator), _integer(1, denominator))
-        if numerator < 1 or denominator < 1:
-            _check(self, (None, "InvalidValue", "frequency integers must be positive"))
+        if not (
+            type(numerator) is int
+            and type(denominator) is int
+            and 0 < numerator < _WRITABLE
+            and 0 < denominator < _WRITABLE
+        ):
+            _check(self, _integer(0, numerator), _integer(1, denominator))
+            if numerator < 1 or denominator < 1:
+                _check(self, (None, "InvalidValue", "frequency integers must be positive"))
         set_numerator, set_denominator = _FREQUENCY_SLOTS
         set_numerator(self, numerator)
         set_denominator(self, denominator)
@@ -506,10 +592,17 @@ class Cause(_Record):
     frequency: Frequency | None
 
     def __init__(self, text: str, occurrence_rank: int | None = None, frequency: Frequency | None = None) -> None:
-        # Only a Frequency is rated as a rate: a float, a bool or a Fraction would be too, silently.
-        not_rate = frequency is not None and not isinstance(frequency, Frequency)
-        rate = ("frequency", "Type", "expected a frequency") if not_rate else None
-        _check(self, _text("text", text), _writable("occurrence_rank", occurrence_rank), rate)
+        if not (
+            type(text) is str
+            and text.strip()
+            and (text.isascii() or text.isprintable())
+            and (occurrence_rank is None or type(occurrence_rank) is int and -_WRITABLE < occurrence_rank < _WRITABLE)
+            and (frequency is None or type(frequency) is Frequency)
+        ):
+            # Only a Frequency is rated as a rate: a float, a bool or a Fraction would be too, silently.
+            not_rate = frequency is not None and not isinstance(frequency, Frequency)
+            rate = ("frequency", "Type", "expected a frequency") if not_rate else None
+            _check(self, _text("text", text), _writable("occurrence_rank", occurrence_rank), rate)
         set_text, set_occurrence_rank, set_frequency = _CAUSE_SLOTS
         set_text(self, text)
         set_occurrence_rank(self, occurrence_rank)
@@ -528,8 +621,19 @@ class Effect(_Record):
     severity_rank: int | None
 
     def __init__(self, text: str, severity_class: str | None = None, severity_rank: int | None = None) -> None:
-        ratings = _writable("severity_class", severity_class), _writable("severity_rank", severity_rank)
-        _check(self, _text("text", text), *ratings)
+        if not (
+            type(text) is str
+            and text.strip()
+            and (text.isascii() or text.isprintable())
+            and (
+                severity_class is None
+                or type(severity_class) is str
+                and (severity_class.isascii() or severity_class.isprintable())
+            )
+            and (severity_rank is None or type(severity_rank) is int and -_WRITABLE < severity_rank < _WRITABLE)
+        ):
+            ratings = _writable("severity_class", severity_class), _writable("severity_rank", severity_rank)
+            _check(self, _text("text", text), *ratings)
         set_text, set_severity_class, set_severity_rank = _EFFECT_SLOTS
         set_text(self, text)
         set_severity_class(self, severity_class)
@@ -548,8 +652,19 @@ class ControlPlan(_Record):
     detection_rank: int | None
 
     def __init__(self, method_class: str, method_text: str | None = None, detection_rank: int | None = None) -> None:
-        choice = _choice("method_class", method_class, CONTROL_METHOD_CLASSES, "control method class")
-        _check(self, choice, _optional_utf8("method_text", method_text), _writable("detection_rank", detection_rank))
+        if not (
+            type(method_class) is str
+            and method_class in _CONTROL_METHOD_CLASSES
+            and (
+                method_text is None
+                or type(method_text) is str
+                and (method_text.isascii() or method_text.isprintable())
+            )
+            and (detection_rank is None or type(detection_rank) is int and -_WRITABLE < detection_rank < _WRITABLE)
+        ):
+            choice = _choice("method_class", method_class, CONTROL_METHOD_CLASSES, "control method class")
+            text, rank = _optional_utf8("method_text", method_text), _writable("detection_rank", detection_rank)
+            _check(self, choice, text, rank)
         set_method_class, set_method_text, set_detection_rank = _CONTROL_PLAN_SLOTS
         set_method_class(self, method_class)
         set_method_text(self, method_text)
@@ -581,12 +696,37 @@ class FailureMode(_Record):
         effects: tuple[Effect, ...] = (),
         control: ControlPlan | None = None,
     ) -> None:
-        causes, bad_causes = _held("causes", causes, Cause)
-        effects, bad_effects = _held("effects", effects, Effect)
-        ids = _id("id", id), _id("element", element)
-        texts = _text("category", category), _text("description", description)
-        plan = None if control is None else _record("control", control, ControlPlan)
-        _check(self, *ids, *texts, bad_causes, bad_effects, plan)
+        if not (
+            type(id) is str
+            and type(element) is str
+            and (id.isascii() and id.isidentifier() or _is_id(id))
+            and (element.isascii() and element.isidentifier() or _is_id(element))
+            and type(category) is str
+            and category.strip()
+            and (category.isascii() or category.isprintable())
+            and type(description) is str
+            and description.strip()
+            and (description.isascii() or description.isprintable())
+            and type(causes) is tuple
+            and (
+                not causes
+                or type(causes[0]) is Cause
+                and (len(causes) == 1 or all(map(isinstance, causes, repeat(Cause))))
+            )
+            and type(effects) is tuple
+            and (
+                not effects
+                or type(effects[0]) is Effect
+                and (len(effects) == 1 or all(map(isinstance, effects, repeat(Effect))))
+            )
+            and (control is None or type(control) is ControlPlan)
+        ):
+            causes, bad_causes = _held("causes", causes, Cause)
+            effects, bad_effects = _held("effects", effects, Effect)
+            ids = _id("id", id), _id("element", element)
+            texts = _text("category", category), _text("description", description)
+            plan = None if control is None else _record("control", control, ControlPlan)
+            _check(self, *ids, *texts, bad_causes, bad_effects, plan)
         set_id, set_element, set_category, set_description, set_causes, set_effects, set_control = _FAILURE_MODE_SLOTS
         set_id(self, id)
         set_element(self, element)
@@ -628,14 +768,29 @@ class DesignModel(_Record):
         fc: tuple[MappingEdge, ...] = (),
         failure_modes: tuple[FailureMode, ...] = (),
     ) -> None:
-        requirements, bad_requirements = _held("requirements", requirements, Requirement)
-        functions, bad_functions = _held("functions", functions, Function)
-        components, bad_components = _held("components", components, Component)
-        rf, bad_rf = _held("rf", rf, MappingEdge)
-        fc, bad_fc = _held("fc", fc, MappingEdge)
-        failure_modes, bad_failure_modes = _held("failure_modes", failure_modes, FailureMode)
-        elements = bad_requirements, bad_functions, bad_components
-        _check(self, _record("meta", meta, Meta), *elements, bad_rf, bad_fc, bad_failure_modes)
+        if not (
+            type(meta) is Meta
+            and type(requirements) is tuple
+            and all(map(isinstance, requirements, repeat(Requirement)))
+            and type(functions) is tuple
+            and all(map(isinstance, functions, repeat(Function)))
+            and type(components) is tuple
+            and all(map(isinstance, components, repeat(Component)))
+            and type(rf) is tuple
+            and all(map(isinstance, rf, repeat(MappingEdge)))
+            and type(fc) is tuple
+            and all(map(isinstance, fc, repeat(MappingEdge)))
+            and type(failure_modes) is tuple
+            and all(map(isinstance, failure_modes, repeat(FailureMode)))
+        ):
+            requirements, bad_requirements = _held("requirements", requirements, Requirement)
+            functions, bad_functions = _held("functions", functions, Function)
+            components, bad_components = _held("components", components, Component)
+            rf, bad_rf = _held("rf", rf, MappingEdge)
+            fc, bad_fc = _held("fc", fc, MappingEdge)
+            failure_modes, bad_failure_modes = _held("failure_modes", failure_modes, FailureMode)
+            elements = bad_requirements, bad_functions, bad_components
+            _check(self, _record("meta", meta, Meta), *elements, bad_rf, bad_fc, bad_failure_modes)
         # No slots (the indexes below live in __dict__), so no slot setters either.
         object.__setattr__(self, "meta", meta)
         object.__setattr__(self, "requirements", requirements)

@@ -8,9 +8,10 @@ analyze"; models are usually authored incrementally, so missing ratings
 are only errors at the second level. The rank checks (range, band, severity
 class) are ``rating.own_ratings``'s findings, filed here under each failure
 mode. The ratings that call returns go on to the rating table of the same
-validation call, so the table does not read them again; a call that skips
-the structural checks (the CLI, whose parse already ran them) lets the
-table read them itself. Paths are built only for findings that are filed.
+validation call, so the table does not read them again. A call that skips
+the structural checks (the CLI, whose parse already ran them) is given the
+ratings that parse read (``io._parse_rated``); without them the table reads
+them itself. Paths are built only for findings that are filed.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def _complete(
     ``findings``; return the sorted report and the rating table read (None if structural).
 
     ``ratings`` are the own ratings ``_structural_errors`` read for the same
-    model, if it was run on it in this call; without them the table reads its own."""
+    model, in this call or in the parse that built it; without them the table reads its own."""
     _check_warnings(model, findings)
     table = None
     if strictness == ANALYSIS_READY:

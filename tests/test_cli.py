@@ -369,10 +369,9 @@ class TestOnePassPerStage:
         expected = {name: models for _, name in self.COUNTED}
         if not rated:
             expected.update(_check_analysis_ready=0, _rating_table=0)
-        # Once per failure mode in parse's structural stage, and once more in the rating table.
+        # Once per failure mode, in parse's structural stage: the rating table takes what it read.
         failure_modes = len(make_camera_model().failure_modes)
-        own_ratings = failure_modes * models * (2 if rated else 1)
-        assert calls == Counter(expected, own_ratings=own_ratings)
+        assert calls == Counter(expected, own_ratings=failure_modes * models)
 
     def test_the_library_run_rates_each_failure_mode_once_after_the_parse(self, camera_path, calls):
         model = parse_model(Path(camera_path).read_text(encoding="utf-8"))

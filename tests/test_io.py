@@ -1,6 +1,7 @@
 """File format: positioned parse errors and canonical, round-trip-stable output."""
 
 import copy
+import hashlib
 import json
 import random
 import re
@@ -8,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -26,11 +28,13 @@ from riskforge import (
     FailureMode,
     Meta,
     ParseFailure,
+    Requirement,
     parse_model,
     serialize_model,
     validate_model,
 )
 from riskforge import io as rio
+from riskforge import model as rmodel
 from riskforge.io import _decode, _Locator, _model_from, _read, _Reader, _SyntaxFailure
 from riskforge.model import ALL_CATEGORY_NAMES, CONTROL_METHOD_CLASSES, FLOW_KINDS
 from riskforge.rating import ALL_SEVERITY_CLASS_NAMES
@@ -625,6 +629,68 @@ class TestBenchInvalidDocuments:
         assert docs
         for doc in docs:
             assert [(e.line, e.column, e.code) for e in errors_of(doc.text)] == [(doc.line, doc.column, doc.code)]
+
+
+def _mutants(text, count, seed):
+    """``count`` single-character mutants of ``text``: a non-blank character replaced or deleted,
+    or a character inserted before it."""
+    rng = random.Random(seed)
+    spots = [m.start() for m in re.finditer(r"\S", text)]
+    for _ in range(count):
+        at, ch = rng.choice(spots), rng.choice('"{}[],:019-_aZ \\\xe9\u3000\x1c')
+        yield text[:at] + ("", ch, ch + text[at])[rng.randrange(3)] + text[at + 1 :]
+
+
+def _parse_outcome(text):
+    """The canonical text of the parsed model, or each parse error's line, column, code and message."""
+    try:
+        return serialize_model(parse_model(text))
+    except ParseFailure as exc:
+        return "\n".join(f"{e.line}:{e.column}:{e.code}:{e.message}" for e in exc.errors)
+
+
+class TestParseOutcomeDigest:
+    """Every outcome of parsing the bench's invalid documents and a few hundred mutants of a
+    small bulk model, pinned as one digest: models, codes, messages and positions alike."""
+
+    #: Taken before the model constructors ran an accept test ahead of their helpers.
+    DIGEST = "206d36842390f9548d0448b2d0c45d4b358672db2dc159f6a5fc395aade96bd5"
+
+    def test_outcomes_are_unchanged(self):
+        texts = [doc.text for doc in gen.invalid_documents(1)[2]]
+        texts += _mutants(gen.canonical(gen.bulk_model(101, n=12)[0]), 400, seed=101)
+        digest = hashlib.sha256()
+        for text in texts:
+            digest.update(_parse_outcome(text).encode("utf-8", "surrogatepass") + b"\0")
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestAcceptPath:
+    """A sound document builds every record through its constructor's accept test alone."""
+
+    #: The model helpers that reject a value and word the problem.
+    HELPERS = (
+        "_id", "_text", "_utf8", "_choice", "_optional_utf8", "_writable", "_integer", "_record", "_held", "_check"
+    )
+
+    @pytest.mark.parametrize("seed", [None, 3, 4], ids=["camera", "bulk-3", "bulk-4"])
+    def test_no_helper_runs(self, seed, monkeypatch):
+        text = CAMERA_JSON.read_text(encoding="utf-8") if seed is None else gen.canonical(gen.bulk_model(seed, n=40)[0])
+        calls = Counter()
+        for name in self.HELPERS:
+
+            def counted(*args, _call=getattr(rmodel, name), _name=name):
+                calls[_name] += 1
+                return _call(*args)
+
+            monkeypatch.setattr(rmodel, name, counted)
+        # The bulk generator's prose holds non-ASCII words, which the accept test takes too.
+        assert text.isascii() is (seed is None)
+        parse_model(text)
+        assert calls == Counter()
+        with pytest.raises(ValueError):
+            Requirement("r 1", "text")
+        assert calls == Counter(_id=1, _text=1, _check=1)
 
 
 # ---------------------------------------------------------------------------

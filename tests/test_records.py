@@ -4,11 +4,13 @@ Every record is a ``model._Record`` whose ``__init__`` is written by hand:
 it checks its arguments, then fills each slot once. The references below
 are frozen dataclasses with the same fields, a generated ``__init__`` and
 the checks in ``__post_init__``, reading the fields back. Drawn arguments,
-good and bad, must give equal values, equal ``_FieldError.problems``, or
-the same exception, and the records must keep what the dataclass machinery
-gives them (``replace``, ``==``, ``hash``, ``repr``, ``astuple``, pickle,
-``copy``, frozen slots, ``__match_args__`` and the constructor's
-signature) without importing ``dataclasses`` at start-up.
+good and bad, values at the edges of the constructors' accept tests among
+them, and each argument off among sound ones, must give equal values, equal
+``_FieldError.problems``, or the same exception, and the records must keep
+what the dataclass machinery gives them (``replace``, ``==``, ``hash``,
+``repr``, ``astuple``, pickle, ``copy``, frozen slots, ``__match_args__``
+and the constructor's signature) without importing ``dataclasses`` at
+start-up.
 """
 
 import copy
@@ -20,7 +22,7 @@ import sys
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import child_env, make_camera_model
@@ -199,6 +201,31 @@ _TEXT = st.text(st.sampled_from("a Z_\n\t\xe9\u2028\ud800\udc80\udfff"), max_siz
 _FREQUENCIES = st.builds(Frequency, st.integers(1, 10**6), st.integers(1, 10**6))
 _TOKENS = ["", " ", "\n", "r 1", "r1\n", "café", "\ud800", "a\udc80", "Damaged", "SafetyIssue"]
 
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Frequency(Frequency):
+    pass
+
+
+#: The values at the edges of the constructors' accept tests, which the helpers must judge: the
+#: subclasses, blank non-ASCII text and a control character that ``str.strip`` drops, integers
+#: around the writable bound, and a bool where a rank goes.
+_BLANKS = ["\u3000", "\xa0", "\x1c"]
+_BIG = [2**1999 - 1, 2**1999, -(2**1999)]
+EDGES = st.one_of(
+    st.builds(_Str, _IDS | _PROSE | st.sampled_from(FLOW_KINDS + CONTROL_METHOD_CLASSES)),
+    st.builds(_Int, st.integers(-3, 12)),
+    st.sampled_from(_BLANKS + _BIG + [True]),
+    st.builds(_Frequency, st.integers(1, 10**6), st.integers(1, 10**6)),
+)
+
 #: Any value a library caller might pass.
 JUNK = st.one_of(
     st.none(),
@@ -209,7 +236,29 @@ JUNK = st.one_of(
     st.sampled_from(_TOKENS),
     st.lists(st.integers(), max_size=2),
     _FREQUENCIES,
+    EDGES,
 )
+
+
+def _held_of(records):
+    """A list or a tuple of up to three ``records``, now and then with junk among them."""
+    items = st.lists(records, max_size=3) | st.lists(records | JUNK, max_size=3)
+    return items | items.map(tuple)
+
+
+_FLOWS = st.builds(Flow, _PROSE, st.sampled_from(FLOW_KINDS))
+_HELD_RECORDS = {
+    "inputs": _FLOWS,
+    "outputs": _FLOWS,
+    "causes": st.builds(Cause, _PROSE, st.none() | st.integers(), st.none() | _FREQUENCIES),
+    "effects": st.builds(Effect, _PROSE, st.sampled_from([None, "SafetyIssue", "café"]), st.none() | st.integers()),
+    "requirements": st.builds(Requirement, _IDS, _PROSE),
+    "functions": st.builds(Function, _IDS, _PROSE, _PROSE),
+    "components": st.builds(Component, _IDS, _PROSE),
+    "rf": st.builds(MappingEdge, _IDS, _IDS),
+    "fc": st.builds(MappingEdge, _IDS, _IDS),
+    "failure_modes": st.builds(FailureMode, _IDS, _IDS, _PROSE, _PROSE),
+}
 
 #: A good value per parameter name, where a rule checks it.
 GOOD = {
@@ -232,11 +281,54 @@ GOOD = {
     "frequency": st.none() | _FREQUENCIES,
     "lo": st.integers(1, 5),
     "hi": st.integers(5, 10),
-    "inputs": st.lists(JUNK, max_size=2),
-    "outputs": st.lists(JUNK, max_size=2),
-    "causes": st.lists(JUNK, max_size=2),
-    "effects": st.lists(JUNK, max_size=2),
+    "control": st.none() | st.builds(ControlPlan, st.sampled_from(CONTROL_METHOD_CLASSES)),
+    "meta": st.builds(Meta, _PROSE, _PROSE),
+    **{name: _held_of(records) for name, records in _HELD_RECORDS.items()},
 }
+
+_PROSE_NAMES = ["product", "version", "text", "verb", "noun", "name", "category", "description"]
+_RANKS = ["occurrence_rank", "severity_rank", "detection_rank"]
+
+#: One sound value per parameter name that a rule checks; each held tuple holds two records.
+SOUND = {
+    **dict.fromkeys(_PROSE_NAMES, "t"),
+    **dict.fromkeys(["id", "element", "source", "target"], "r1"),
+    "kind": "energy",
+    "method_class": "DesignAnalysis",
+    **dict.fromkeys(["numerator", "denominator", *_RANKS], 5),
+    "lo": 1,
+    "hi": 5,
+    "frequency": Frequency(1, 10),
+    "control": ControlPlan("DesignAnalysis"),
+    "meta": Meta("p", "1"),
+    "inputs": (Flow("d", "energy"),) * 2,
+    "outputs": (Flow("d", "energy"),) * 2,
+    "causes": (Cause("t", 5),) * 2,
+    "effects": (Effect("t", "SafetyIssue", 5),) * 2,
+    "requirements": (Requirement("r1", "t"),) * 2,
+    "functions": (Function("f1", "v", "n"),) * 2,
+    "components": (Component("c1", "n"),) * 2,
+    "rf": (MappingEdge("r1", "f1"),) * 2,
+    "fc": (MappingEdge("f1", "c1"),) * 2,
+    "failure_modes": (FailureMode("m1", "c1", "Damaged", "d"),) * 2,
+}
+_STRINGS = [name for name, value in SOUND.items() if type(value) is str]
+_INTEGERS = [name for name, value in SOUND.items() if type(value) is int]
+
+
+class _Given:
+    """``st.data()`` for an ``@example``: every parameter is passed by keyword, as ``values``
+    or else ``SOUND`` holds it (None where neither does)."""
+
+    def __init__(self, **values) -> None:
+        self.values = values
+
+    def draw(self, strategy, label):
+        fixed = {"bad": set(), "omit": False, "positional": 0}
+        return fixed[label] if label in fixed else self.values.get(label, SOUND.get(label))
+
+    def __repr__(self) -> str:
+        return f"_Given(**{self.values!r})"
 
 
 def _outcome(cls, args, kwargs):
@@ -256,6 +348,18 @@ def _outcome(cls, args, kwargs):
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 @given(data=st.data())
+@example(data=_Given())
+@example(data=_Given(**{name: _Str(SOUND[name]) for name in _STRINGS}))
+@example(data=_Given(**{name: _Int(SOUND[name]) for name in _INTEGERS}))
+@example(data=_Given(**dict.fromkeys(_PROSE_NAMES, "\u3000")))
+@example(data=_Given(**dict.fromkeys(_PROSE_NAMES, "\xa0")))
+@example(data=_Given(**dict.fromkeys(_PROSE_NAMES, "\x1c")))
+@example(data=_Given(**dict.fromkeys(_INTEGERS, 2**1999 - 1)))
+@example(data=_Given(**dict.fromkeys(_INTEGERS, 2**1999)))
+@example(data=_Given(**dict.fromkeys(_INTEGERS, -(2**1999))))
+@example(data=_Given(**dict.fromkeys(_RANKS, True)))
+@example(data=_Given(**{name: list(value) for name, value in SOUND.items() if type(value) is tuple}))
+@example(data=_Given(frequency=_Frequency(1, 10)))
 @settings(max_examples=14, deadline=None)
 def test_constructor_matches_the_generated_one(cls, data):
     parameters = list(inspect.signature(cls).parameters.values())
@@ -280,6 +384,31 @@ def test_constructor_matches_the_generated_one(cls, data):
     assert [getattr(again, f.name) for f in dataclasses.fields(cls)] == got[1]
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(value, parameters[0].name, None)
+
+
+#: Values one argument takes among sound ones in ``test_one_argument_off_among_sound_ones``.
+OFF = [
+    *(None, True, False, 0, -1, 11, 2.5, [], (), [1], (1,)),
+    *("", " ", "r 1", "r1\n", "-", "9a", "café", "é\t", "a\u2028b", "\ud800", "a\udc80", "energy", *_BLANKS),
+    *("DesignAnalysis", _Str("r1"), _Str("energy"), _Str("DesignAnalysis"), _Int(5), *_BIG),
+    *(Frequency(1, 10), _Frequency(1, 10), ControlPlan("DesignAnalysis"), Meta("p", "1")),
+]
+
+
+@pytest.mark.parametrize("cls", [cls for cls, checks in RECORDS.items() if checks], ids=lambda cls: cls.__name__)
+def test_one_argument_off_among_sound_ones(cls):
+    # Each argument in turn takes each value of OFF, and a held tuple also a list, one record,
+    # and a record beside a value that is none.
+    names = list(inspect.signature(cls).parameters)
+    for name in names:
+        held = SOUND.get(name) if type(SOUND.get(name)) is tuple else None
+        variants = [] if held is None else [list(held), held[:1], (held[0], None), (None, held[0])]
+        for value in OFF + variants:
+            kwargs = {**{other: SOUND.get(other) for other in names}, name: value}
+            got, want = _outcome(cls, (), kwargs), _outcome(REFERENCES[cls], (), kwargs)
+            if got[0] == "value":
+                got, want = got[:-1], want[:-1]  # without the records themselves, of two classes
+            assert got == want, (name, value)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
