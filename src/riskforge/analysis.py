@@ -4,14 +4,15 @@ One engine rates a model. ``rating_table`` takes each failure mode's own
 ratings from ``rating.own_ratings``, the one copy of the rank rules, which
 validation checks through the same function. Within one validating call
 (``run_procedure``, ``validate_model`` at the analysis-ready level) the
-structural checks hand the ratings they read to the table, so each
-failure mode is read once per call. ``_propagate_max`` then
-carries severity forward (requirements to functions to components) and
-occurrence and detection, which originate at components, backward along
-the two mapping matrices, each as a running maximum.
-Propagation is two strata in each direction, so cycles cannot arise, and
-tolerant: the public entry points raise for the first unrated leaf of the
-ratings they need.
+structural checks return the ratings they read and ``_rating_table``
+builds the table from them, so each failure mode is read once per call;
+the public ``rating_table`` is the one stage that reads them itself.
+``_propagate_max`` then carries severity forward (requirements to
+functions to components) and occurrence and detection, which originate
+at components, backward along the two mapping matrices, each as a
+running maximum. Propagation is two strata in each direction, so cycles
+cannot arise, and tolerant: the public entry points raise for the first
+unrated leaf of the ratings they need.
 
 ``oracle_propagate`` recomputes all three maps by brute-force enumeration
 of every requirement-function-component path, with no reuse of
@@ -238,19 +239,18 @@ def rating_table(model: DesignModel) -> RatingTable:
     """Rate every failure mode once, then propagate tolerantly: unrated
     failure modes contribute nothing. Occurrence and detection originate at
     components only."""
-    return _rating_table(model, None)
+    elements = model.elements_by_id
+    problems: list = []  # the structural stage reports these; unread here
+    ratings = []
+    for fm in model.failure_modes:
+        entry = elements.get(fm.element)
+        ratings.append(own_ratings(None if entry is None else entry[0], fm, problems))
+    return _rating_table(model, ratings)
 
 
-def _rating_table(model: DesignModel, ratings: list | None) -> RatingTable:
+def _rating_table(model: DesignModel, ratings: list) -> RatingTable:
     """``rating_table`` from each failure mode's own ratings in model order,
-    as ``own_ratings`` gives them; read here when ``ratings`` is None."""
-    if ratings is None:
-        elements = model.elements_by_id
-        problems: list = []  # the structural stage reports these; unread here
-        ratings = []
-        for fm in model.failure_modes:
-            entry = elements.get(fm.element)
-            ratings.append(own_ratings(None if entry is None else entry[0], fm, problems))
+    as ``own_ratings`` gives them."""
     component_ids = {component.id for component in model.components}
     seeds: tuple[dict[str, int], ...] = ({}, {}, {})
     unrated: tuple[dict[str, str], ...] = ({}, {}, {})
@@ -381,41 +381,23 @@ def trace(model: DesignModel, fm_id: str, direction: str) -> TraceChain:
     if direction not in ("effects", "causes"):
         raise ValueError(f'direction must be "effects" or "causes", got {direction!r}')
     fm = get_failure_mode(model, fm_id)
-    domain = element_domain(model, fm.element)
-
+    # The element's layer: 0 requirement, 1 function, 2 component.
+    layer = tuple(Domain).index(element_domain(model, fm.element))
     if direction == "effects":
-        if domain is Domain.COMPONENT:
-            level_one = sorted(model.fc_sources.get(fm.element, ()))
-            level_two = sorted(
-                {rid for fid in level_one for rid in model.rf_sources.get(fid, ())}
-            )
-        elif domain is Domain.FUNCTION:
-            level_one = sorted(model.rf_sources.get(fm.element, ()))
-            level_two = []
-        else:
-            level_one, level_two = [], []
+        steps = (model.fc_sources, model.rf_sources)[2 - layer :]
     else:
-        if domain is Domain.REQUIREMENT:
-            level_one = sorted(model.rf_targets.get(fm.element, ()))
-            level_two = sorted(
-                {cid for fid in level_one for cid in model.fc_targets.get(fid, ())}
-            )
-        elif domain is Domain.FUNCTION:
-            level_one = sorted(model.fc_targets.get(fm.element, ()))
-            level_two = []
-        else:
-            level_one, level_two = [], []
+        steps = (model.rf_targets, model.fc_targets)[layer:]
 
     hops = [TraceHop(fm.element, fm.id, fm.description)]
-    for element_id in level_one + level_two:
-        element_fms = sorted(model.failure_modes_of(element_id), key=lambda f: f.id)
-        if element_fms:
-            hops.extend(
-                TraceHop(element_id, candidate.id, candidate.description)
-                for candidate in element_fms
-            )
-        else:
-            hops.append(TraceHop(element_id, None, element_text(model, element_id)))
+    level = [fm.element]
+    for neighbours in steps:
+        level = sorted({nid for element_id in level for nid in neighbours.get(element_id, ())})
+        for element_id in level:
+            element_fms = sorted(model.failure_modes_of(element_id), key=lambda f: f.id)
+            if element_fms:
+                hops.extend(TraceHop(element_id, candidate.id, candidate.description) for candidate in element_fms)
+            else:
+                hops.append(TraceHop(element_id, None, element_text(model, element_id)))
     return TraceChain(direction=direction, hops=tuple(hops))
 
 

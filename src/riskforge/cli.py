@@ -23,7 +23,7 @@ from . import __version__
 from .analysis import _prioritize, trace
 # The CLI's parse also hands on the own ratings its structural checks read, so that
 # ``_complete`` reads none again; it keeps the name the bench times it by.
-from .io import ParseFailure, _parse_rated as parse_model
+from .io import ParseFailure, _parse as parse_model
 from .model import Domain, Frequency, UnknownFailureMode
 from .rating import detection_band, occurrence_band, severity_band
 from .reports import FORMATS, ValidationFailed, _run_procedure, emit_artifact, write_bundle
@@ -59,8 +59,8 @@ def _print_findings(findings: tuple[Finding, ...]) -> None:
 
 
 def _load_model(path: str):
-    """The parsed model, which has no structural errors, and its failure modes' own ratings
-    (see ``io._parse_rated``); or None after a diagnostic."""
+    """The pair ``io._parse`` returns: the parsed model, which has no structural errors,
+    and its failure modes' own ratings in model order; or None after a diagnostic."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -80,7 +80,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     model, ratings = loaded
     strictness = ANALYSIS_READY if args.analysis_ready else STRUCTURAL
-    report, _ = _complete(model, [], strictness, ratings)
+    report, _ = _complete(model, [], ratings, strictness)
     _print_findings(report.findings)
     print(f"validation: {len(report.errors)} error(s), {len(report.warnings)} warning(s)")
     if report.has_errors:
@@ -96,7 +96,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     model, ratings = loaded
     try:
-        bundle = _run_procedure(model, [], not args.no_detection_propagation, ratings)
+        bundle = _run_procedure(model, [], ratings, not args.no_detection_propagation)
     except ValidationFailed as exc:
         _print_findings(exc.report.findings)
         return EXIT_FINDINGS
@@ -170,7 +170,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         if loaded is None:
             return EXIT_USAGE
         model, ratings = loaded
-        report, table = _complete(model, [], ANALYSIS_READY, ratings)
+        report, table = _complete(model, [], ratings, ANALYSIS_READY)
         if report.has_errors:
             _diag("error", f"{path} is not analysis-ready")
             _print_findings(report.findings)

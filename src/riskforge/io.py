@@ -33,6 +33,11 @@ again, by one reporting walk over the tables that builds the model path
 of each problem. The inline path shares id and vocabulary strings, and
 the walk drops each decoded item once its record is built.
 
+The structural checks return their findings with each failure mode's own
+(S, O, D), read once; ``_parse`` returns the model paired with those
+ratings, which the CLI passes on to validation and analysis, and
+``parse_model`` keeps the model alone.
+
 Serialization writes what ``json.dumps(data, indent=2, ensure_ascii=False)``
 gives for the model's plain form (fixed key order, LF endings, trailing
 newline; frequencies as two-integer arrays, exact where binary floats are
@@ -120,37 +125,33 @@ def parse_model(text: str) -> DesignModel:
     reported as parse errors at the position of the offending value, so a
     successful parse guarantees a structurally valid model.
     """
+    return _parse(text)[0]
+
+
+def _parse(text: str) -> tuple[DesignModel, list]:
+    """``parse_model``'s model, and the own (S, O, D) of each of its failure modes in model
+    order, as its structural checks read them: what ``validation._complete`` takes."""
     return _model_from(text, *_decode(text))
 
 
-def _parse_rated(text: str) -> tuple[DesignModel, list]:
-    """``parse_model``'s model, and the own (S, O, D) of each of its failure modes in model
-    order, as its structural checks read them: what ``validation._complete`` takes so that
-    it does not read them again."""
-    ratings: list = []
-    return _model_from(text, *_decode(text), ratings=ratings), ratings
-
-
-def _model_from(
-    text: str, data: object, errors: list[_Located], repeats: int = 0, ratings: list | None = None
-) -> DesignModel:
+def _model_from(text: str, data: object, errors: list[_Located], repeats: int = 0) -> tuple[DesignModel, list]:
     """Walk the decoded ``data`` once; locate every problem in ``text`` only if there is one.
 
     ``repeats`` is the number of repeated keys the decoder met. A repeat
     the walk does not meet lies in a value it never enters; only the
-    positional reader reports that one. The structural checks append each
-    failure mode's own ratings to ``ratings``, if given.
+    positional reader reports that one. Returns the model and the own
+    ratings its structural checks read.
     """
     walker = _Walker()
     model = _walk_model(walker, data)
     if len(walker.repeats) != repeats:
-        return _model_from(text, *_read(text), ratings=ratings)
+        return _model_from(text, *_read(text))
     problems = walker.problems
     if model is not None and not errors and not repeats:
-        structural = _structural_errors(model, ratings)
+        structural, ratings = _structural_errors(model)
         problems = [(finding.path, None, finding.code, finding.message) for finding in structural]
         if not problems:
-            return model
+            return model, ratings
     locator = _Locator(text)
     for path, key, nth in walker.repeats:
         errors.append((locator.offset(path, key, nth), "DuplicateKey", f"duplicate key {key!r}"))
@@ -375,8 +376,10 @@ class _SyntaxFailure(Exception):
 _ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
 # A run of string characters that need no attention: not a quote, a
-# backslash, a control character or a raw surrogate.
-_PLAIN_RUN = re.compile(r'[^"\\\x00-\x1f\ud800-\udfff]*')
+# backslash, a control character or a raw surrogate. Compiled by each
+# reader, not at import: the surrogate range compiles to a 64K charmap,
+# and only text the stdlib decoder rejects is read here.
+_PLAIN_RUN = r'[^"\\\x00-\x1f\ud800-\udfff]*'
 # An escaped surrogate: only the reader tells a pair from a lone half.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
@@ -393,6 +396,7 @@ class _Reader:
         self.text = text
         self.pos = 0
         self.errors = errors
+        self.plain_run = re.compile(_PLAIN_RUN).match
 
     def fail(self, message: str, pos: int | None = None) -> None:
         raise _SyntaxFailure(_positioned(self.text, [(self.pos if pos is None else pos, "Syntax", message)])[0])
@@ -492,7 +496,7 @@ class _Reader:
         self.pos += 1
         pieces: list[str] = []
         while True:
-            end = _PLAIN_RUN.match(text, self.pos).end()
+            end = self.plain_run(text, self.pos).end()
             pieces.append(text[self.pos : end])
             self.pos = end
             if end >= len(text):

@@ -301,16 +301,15 @@ def run_procedure(model: DesignModel, *, propagate_detection: bool = True) -> Ar
     same table; the two priority reports and three worksheets.
     Raises ValidationFailed when the model has validation errors.
     """
-    ratings: list = []
-    return _run_procedure(model, _structural_errors(model, ratings), propagate_detection, ratings)
+    return _run_procedure(model, *_structural_errors(model), propagate_detection)
 
 
 def _run_procedure(
-    model: DesignModel, errors: list[Finding], propagate_detection: bool, ratings: list | None = None
+    model: DesignModel, errors: list[Finding], ratings: list, propagate_detection: bool
 ) -> ArtifactBundle:
     """``run_procedure`` after the structural checks, which found ``errors`` and read
-    ``ratings`` (None: the rating table reads them)."""
-    report, table = _complete(model, errors, ANALYSIS_READY, ratings)
+    ``ratings``."""
+    report, table = _complete(model, errors, ratings, ANALYSIS_READY)
     if report.has_errors:
         raise ValidationFailed(report)
 

@@ -7,11 +7,12 @@ separate "the model is well-formed" from "the model is complete enough to
 analyze"; models are usually authored incrementally, so missing ratings
 are only errors at the second level. The rank checks (range, band, severity
 class) are ``rating.own_ratings``'s findings, filed here under each failure
-mode. The ratings that call returns go on to the rating table of the same
-validation call, so the table does not read them again. A call that skips
-the structural checks (the CLI, whose parse already ran them) is given the
-ratings that parse read (``io._parse_rated``); without them the table reads
-them itself. Paths are built only for findings that are filed.
+mode. ``_structural_errors`` returns the findings together with the
+ratings that call returned, in model order, and ``_complete`` builds the
+rating table from them, so the table does not read them again. A call
+that skips the structural checks (the CLI, whose parse already ran them)
+is given the ratings that parse read (``io._parse``). Paths are built only
+for findings that are filed.
 """
 
 from __future__ import annotations
@@ -111,30 +112,28 @@ def validate_model(model: DesignModel, strictness: str = STRUCTURAL) -> Validati
     """
     if strictness not in (STRUCTURAL, ANALYSIS_READY):
         raise ValueError(f"strictness must be {STRUCTURAL!r} or {ANALYSIS_READY!r}")
-    ratings: list | None = [] if strictness == ANALYSIS_READY else None
-    return _complete(model, _structural_errors(model, ratings), strictness, ratings)[0]
+    return _complete(model, *_structural_errors(model), strictness)[0]
 
 
-def _structural_errors(model: DesignModel, ratings: list | None = None) -> list[Finding]:
-    """Identity, cross-reference and rank errors; a parsed model has none.
-
-    With a list in ``ratings``, each failure mode's own (S, O, D), which the
-    rank checks read, is appended to it in model order, for ``_complete``."""
+def _structural_errors(model: DesignModel) -> tuple[list[Finding], list]:
+    """Identity, cross-reference and rank errors, of which a parsed model has none, and each
+    failure mode's own (S, O, D) in model order, as the rank checks read them, for ``_complete``."""
     findings: list[Finding] = []
+    ratings: list = []
     _check_duplicate_ids(model, findings)
     _check_edges(model, findings)
     _check_failure_modes(model, findings, ratings)
-    return findings
+    return findings, ratings
 
 
 def _complete(
-    model: DesignModel, findings: list[Finding], strictness: str, ratings: list | None = None
+    model: DesignModel, findings: list[Finding], ratings: list, strictness: str
 ) -> tuple[ValidationReport, _analysis.RatingTable | None]:
     """Add warnings, and at the analysis-ready level the rating checks, to the structural
     ``findings``; return the sorted report and the rating table read (None if structural).
 
     ``ratings`` are the own ratings ``_structural_errors`` read for the same
-    model, in this call or in the parse that built it; without them the table reads its own."""
+    model, in this call or in the parse that built it."""
     _check_warnings(model, findings)
     table = None
     if strictness == ANALYSIS_READY:
@@ -216,7 +215,7 @@ def _dangling_edge(findings: list[Finding], endpoint: str, path: Path) -> None:
     _error(findings, "DanglingReference", f'edge references "{endpoint}", which is not a design element', path)
 
 
-def _check_failure_modes(model: DesignModel, findings: list[Finding], ratings: list | None) -> None:
+def _check_failure_modes(model: DesignModel, findings: list[Finding], ratings: list) -> None:
     problems: list[Problem] = []
     for index, fm in enumerate(model.failure_modes):
         domain = _fm_domain(model, fm)
@@ -245,9 +244,7 @@ def _check_failure_modes(model: DesignModel, findings: list[Finding], ratings: l
                 ("failure_modes", index, "category"),
             )
 
-        own = own_ratings(domain, fm, problems)
-        if ratings is not None:
-            ratings.append(own)
+        ratings.append(own_ratings(domain, fm, problems))
         if problems:
             for subpath, code, message in problems:
                 _error(findings, code, message, ("failure_modes", index) + subpath)

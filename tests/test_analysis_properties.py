@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from helpers import permuted, random_model, with_random_extra_edge
 from riskforge import (
     ANALYSIS_READY,
+    DesignModel,
+    MappingEdge,
     analyze,
     assign_detection,
     backward_occurrence,
@@ -16,8 +18,10 @@ from riskforge import (
     forward_severity,
     oracle_propagate,
     run_procedure,
+    trace,
     validate_model,
 )
+from riskforge.model import element_domain, element_text
 from riskforge.analysis import resolve_fm_occurrence, resolve_fm_severity
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -161,3 +165,57 @@ class TestPermutationSafety:
                 assert emit_priority_report(artifact) == emit_priority_report(other)
             else:
                 assert emit_fmea_document(artifact) == emit_fmea_document(other)
+
+
+def with_stray_edges(model, rng):
+    """The model plus up to three rf or fc edges between any two of its elements: wrong
+    directions, self-loops and repeats, which structural validation rejects."""
+    ids = [element.id for element in model.requirements + model.functions + model.components]
+    rf, fc = list(model.rf), list(model.fc)
+    for _ in range(rng.randint(0, 3) if ids else 0):
+        rng.choice((rf, fc)).append(MappingEdge(rng.choice(ids), rng.choice(ids)))
+    return DesignModel(
+        meta=model.meta,
+        requirements=model.requirements,
+        functions=model.functions,
+        components=model.components,
+        rf=tuple(rf),
+        fc=tuple(fc),
+        failure_modes=model.failure_modes,
+    )
+
+
+def two_hop_walk(model, fm, direction):
+    """``trace``'s hops, walked over the raw edge lists: effects read each edge from target
+    to source, causes from source to target; each level holds an element once, in id order."""
+    rf = [(edge.source, edge.target) for edge in model.rf]
+    fc = [(edge.source, edge.target) for edge in model.fc]
+    if direction == "effects":
+        steps = {"component": (fc, rf), "function": (rf,), "requirement": ()}
+        steps = {domain: [[(b, a) for a, b in edges] for edges in hops] for domain, hops in steps.items()}
+    else:
+        steps = {"requirement": (rf, fc), "function": (fc,), "component": ()}
+    hops = [(fm.element, fm.id, fm.description)]
+    level = {fm.element}
+    for edges in steps[element_domain(model, fm.element).value]:
+        level = {b for a, b in edges if a in level}
+        for element_id in sorted(level):
+            fms = sorted((other for other in model.failure_modes if other.element == element_id), key=lambda f: f.id)
+            hops += [(element_id, other.id, other.description) for other in fms] or [
+                (element_id, None, element_text(model, element_id))
+            ]
+    return hops
+
+
+class TestTraceWalk:
+    @given(seed=seeds)
+    @settings(max_examples=150, deadline=None)
+    def test_trace_is_a_two_hop_walk_over_the_edge_lists(self, seed):
+        rng = random.Random(seed)
+        model = with_stray_edges(random_model(rng), rng)
+        for fm in model.failure_modes:
+            for direction in ("effects", "causes"):
+                chain = trace(model, fm.id, direction)
+                assert chain.direction == direction
+                hops = [(hop.element_id, hop.failure_mode_id, hop.text) for hop in chain.hops]
+                assert hops == two_hop_walk(model, fm, direction)

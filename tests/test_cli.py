@@ -15,7 +15,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import camera_cut_off_from_its_requirement, child_env, make_camera_model, make_smartphone_model
-from riskforge import __version__, analysis, parse_model, run_procedure, serialize_model, validation
+from riskforge import (
+    ANALYSIS_READY,
+    __version__,
+    analysis,
+    analyze,
+    parse_model,
+    run_procedure,
+    serialize_model,
+    validate_model,
+    validation,
+)
 from riskforge.cli import _parser, main
 
 CAMERA_JSON = Path(__file__).resolve().parent.parent / "sample_models" / "camera.json"
@@ -383,6 +393,22 @@ class TestOnePassPerStage:
         expected.update(_check_analysis_ready=1, _rating_table=1, _check_warnings=1)
         assert calls == Counter(expected, own_ratings=2 * failure_modes)
 
+    @pytest.mark.parametrize(
+        "stage, checked, tables",
+        [
+            (validate_model, 1, 0),
+            (lambda model: validate_model(model, ANALYSIS_READY), 1, 1),
+            (analyze, 0, 1),
+        ],
+        ids=["validate-structural", "validate-analysis-ready", "analyze"],
+    )
+    def test_each_library_stage_rates_each_failure_mode_once(self, stage, checked, tables, calls):
+        model = make_camera_model()
+        stage(model)
+        expected = {name: checked for _, name in self.COUNTED}
+        expected.update(_check_analysis_ready=checked * tables, _rating_table=tables)
+        assert calls == Counter(expected, own_ratings=len(model.failure_modes))
+
 
 class TestDiagnostics:
     def test_usage_error_exits_two(self):
@@ -479,16 +505,25 @@ _DEPTH = sys.getrecursionlimit() + 1
 
 
 class TestExitCodeContract:
-    @given(data=st.binary(max_size=256) | mutated_camera())
-    @example(data=b"[" * _DEPTH + b"]" * _DEPTH)
-    @example(data=LONE_SURROGATE_CAMERA)
+    @given(
+        data=st.binary(max_size=256) | mutated_camera(),
+        fm_id=st.sampled_from([fm.id for fm in make_camera_model().failure_modes]) | st.text(max_size=8),
+    )
+    @example(data=b"[" * _DEPTH + b"]" * _DEPTH, fm_id="fm_damage")
+    @example(data=LONE_SURROGATE_CAMERA, fm_id="fm_exec")
     @settings(max_examples=200, deadline=None)
-    def test_every_input_exits_zero_one_or_two(self, data):
+    def test_every_input_exits_zero_one_or_two(self, data, fm_id):
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "model.json"
-            path.write_bytes(data)
+            path = str(Path(tmp) / "model.json")
+            Path(path).write_bytes(data)
+            commands = [
+                ["validate", path],
+                ["validate", "--analysis-ready", path],
+                ["analyze", path, "--out", str(Path(tmp) / "out")],
+                ["diff", path, path],
+                ["trace", path, f"--fm={fm_id}", "--direction", "effects"],
+                ["trace", path, f"--fm={fm_id}", "--direction", "causes"],
+            ]
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                validated = main(["validate", "--analysis-ready", str(path)])
-                analyzed = main(["analyze", str(path), "--out", str(Path(tmp) / "out")])
-        assert validated in (0, 1, 2)
-        assert analyzed in (0, 1, 2)
+                codes = [main(argv) for argv in commands]
+        assert set(codes) <= {0, 1, 2}

@@ -138,6 +138,25 @@ class TestSyntaxErrors:
             _Reader(text, []).parse_document()
         assert str(excinfo.value.error) == expected + " [Syntax]"
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("[1.5.3]", "line 1, column 5: expected ',' or ']' in array"),
+            ("[1e5e]", "line 1, column 5: expected ',' or ']' in array"),
+            ("[1e5.0]", "line 1, column 5: expected ',' or ']' in array"),
+            ("[1.]", "line 1, column 2: invalid number"),
+            ("[-]", "line 1, column 2: invalid number"),
+            ("[1.e5]", "line 1, column 2: invalid number"),
+            ("[01]", "line 1, column 3: expected ',' or ']' in array"),
+            ("[2.5E]", "line 1, column 2: invalid number"),
+        ],
+    )
+    def test_malformed_numbers(self, text, expected):
+        # A number ends where its grammar does; what follows is the array's to reject.
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(text)
+        assert [str(e) for e in errors_of(text)] == [expected + " [Syntax]"]
+
     def test_nesting_deeper_than_the_stack(self):
         errors = errors_of('{"meta": ' + "[" * 100_000)
         assert [(e.line, e.code, e.message) for e in errors] == [(1, "Syntax", "unexpected end of input")]
@@ -810,7 +829,7 @@ MUTATIONS = (
 
 def _reader_route(text):
     """``parse_model`` with the positional reader in place of the stdlib decoder."""
-    return _model_from(text, *_read(text))
+    return _model_from(text, *_read(text))[0]
 
 
 def _outcome(parse, text):

@@ -572,6 +572,16 @@ class TestStartUp:
         out = _run(f"import sys\n{code}\nprint(sorted(set({modules!r}) & set(sys.modules)))")
         assert out.splitlines()[-1] == "[]"
 
+    def test_the_reader_only_pattern_is_not_compiled_at_import(self):
+        # Its surrogate range compiles to a 64K charmap; only the positional reader uses it.
+        out = _run(
+            "import re, riskforge.cli\n"
+            "from riskforge import io\n"
+            "print([name for name, value in vars(io).items()"
+            " if isinstance(value, re.Pattern) and '\\\\ud800' in value.pattern])"
+        )
+        assert out == "[]\n"
+
     def test_typing_is_not_loaded_without_site(self):
         # Without -S, ``site`` may load ``typing`` itself (through a ``.pth`` file), which would hide an import of it.
         out = _run("import sys, riskforge.cli; print(sorted({'typing', 'dataclasses'} & set(sys.modules)))", "-S")

@@ -663,7 +663,8 @@ class TestRatingsHandedOn:
         for mutate in mutations:
             model = mutate(model, rng)
         report = validate_model(model, ANALYSIS_READY)
-        assert report == _complete(model, _structural_errors(model), ANALYSIS_READY)[0]
+        findings = _structural_errors(model)[0]
+        assert report == _complete(model, findings, list(rating_table(model).ratings), ANALYSIS_READY)[0]
         try:
             bundle = run_procedure(model)
         except ValidationFailed as exc:
